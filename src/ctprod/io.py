@@ -58,7 +58,8 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
     """Parse the text tensor format.
 
     Raises ParseError (with the offending line number) for malformed
-    content and DimsMismatch when the payload does not match the declared
+    content, including non-finite entries such as ``nan`` or ``inf``, and
+    DimsMismatch when the payload does not match the declared
     dimensions.
     """
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
@@ -114,6 +115,7 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
         ln, body = payload_line(f"the 'slice {k}' marker")
         if body.split() != ["slice", str(k)]:
             raise ParseError(ln, f"expected 'slice {k}'")
+        row_lines = []
         for i in range(rows):
             ln, body = payload_line(f"row {i} of slice {k}")
             if body.split() == ["slice", str(k + 1)]:
@@ -122,6 +124,10 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
             if len(toks) != n2:
                 raise DimsMismatch(f"row {i} of slice {k} has {len(toks)} entries, expected {n2}")
             slices[k, i] = [parse_entry(t, ln) for t in toks]
+            row_lines.append(ln)
+        if not np.isfinite(slices[k]).all():
+            i, j = np.argwhere(~np.isfinite(slices[k]))[0]
+            raise ParseError(row_lines[i], f"non-finite entry in column {j + 1}")
     if pos < len(lines):
         raise ParseError(lines[pos][0], "unexpected content after the last slice")
     return Tensor3(slices)

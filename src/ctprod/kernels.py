@@ -138,7 +138,7 @@ def _singular_values(A: np.ndarray) -> np.ndarray:
         raise NonConvergence(str(exc)) from exc
 
 
-def default_rank_tol(shape: tuple[int, int], smax: float) -> float:
+def default_rank_tol(shape: tuple[int, int], smax: float | np.ndarray) -> float | np.ndarray:
     return max(shape) * EPS * smax
 
 
@@ -157,19 +157,25 @@ def numerical_rank(A, tol: float | None = None) -> int:
 
 
 def pinv_matrix(A, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse via the SVD with reciprocals above the rank cutoff."""
-    A = _as_matrix(A)
-    if min(A.shape) == 0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
+    """Moore-Penrose inverse via the SVD with reciprocals above the rank cutoff.
+
+    Accepts one matrix or a stack of shape (..., m, n); every matrix of a
+    stack gets its own cutoff, max(m, n) * 2**-52 * sigma_max or ``tol``.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    if A.ndim < 2:
+        raise ShapeMismatch(f"expected a matrix or a stack of matrices, got ndim={A.ndim}")
+    m, n = A.shape[-2:]
+    if A.size == 0:
+        return np.zeros(A.shape[:-2] + (n, m), dtype=np.complex128)
     try:
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-    if s[0] == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
-    cut = default_rank_tol(A.shape, float(s[0])) if tol is None else tol
-    inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    return (Vh.conj().T * inv) @ U.conj().T
+    cut = default_rank_tol((m, n), s[..., :1]) if tol is None else tol
+    keep = s > cut
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return (Vh.conj().swapaxes(-1, -2) * inv[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
 def qr_matrix(A) -> MatrixQr:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlockDiagonalizationFailure, NotInMatImage, ShapeMismatch
-from .tensor import Tensor3, mode3_product
+from .tensor import Tensor3
 
 __all__ = [
     "TransformContext",
@@ -88,7 +88,11 @@ def build_context(n3: int) -> TransformContext:
     C = dct_matrix(n3)
     w = C[:, 0].copy()
     Z = upshift_matrix(n3)
-    M = (C @ (np.eye(n3) + Z)) / w[:, None]
+    # C (I + Z) without the dense product: Z shifts C's columns right by one.
+    # Built in place, so no n3 x n3 temporary is alive during the inverse.
+    M = C.copy()
+    M[:, 1:] += C[:, :-1]
+    M /= w[:, None]
     M_inv = np.linalg.inv(M)
     for arr in (C, w, Z, M, M_inv):
         arr.setflags(write=False)
@@ -102,22 +106,35 @@ def _check_n3(A: Tensor3, ctx: TransformContext) -> None:
         raise ShapeMismatch(f"tensor n3={A.n3} does not match context n3={ctx.n3}")
 
 
+def _apply_tube_map(T: np.ndarray, slices: np.ndarray) -> np.ndarray:
+    """Apply the real n3 x n3 matrix T along axis 0 of a complex stack.
+
+    The stack is viewed as float64 with real and imaginary parts interleaved
+    along the last axis; a real T acts on both alike, so one float64 GEMM
+    does the work with no complex copy of T.  Real data keeps imaginary
+    parts exactly zero.
+    """
+    s = np.ascontiguousarray(slices, dtype=np.complex128)
+    flat = s.view(np.float64).reshape(s.shape[0], 2 * s[0].size)
+    return (T @ flat).view(np.complex128).reshape(s.shape)
+
+
 def to_transform(A: Tensor3, ctx: TransformContext) -> Tensor3:
     """Forward transform: the mode-3 product with the tube map M."""
     _check_n3(A, ctx)
-    return mode3_product(A, ctx.tube_map)
+    return Tensor3(_apply_tube_map(ctx.tube_map, A.slices))
 
 
 def from_transform(Ahat: Tensor3, ctx: TransformContext) -> Tensor3:
     """Inverse transform: the mode-3 product with M^-1."""
     _check_n3(Ahat, ctx)
-    return mode3_product(Ahat, ctx.tube_map_inv)
+    return Tensor3(_apply_tube_map(ctx.tube_map_inv, Ahat.slices))
 
 
 def transform_slices(A: Tensor3, ctx: TransformContext) -> np.ndarray:
     """Frontal slices of the forward transform, shape (n3, n1, n2)."""
     _check_n3(A, ctx)
-    return np.tensordot(ctx.tube_map, A.slices, axes=(1, 0))
+    return _apply_tube_map(ctx.tube_map, A.slices)
 
 
 def tensor_from_transform_slices(slices, ctx: TransformContext) -> Tensor3:
@@ -127,7 +144,7 @@ def tensor_from_transform_slices(slices, ctx: TransformContext) -> Tensor3:
         raise ShapeMismatch(
             f"expected {ctx.n3} stacked transform slices, got shape {slices.shape}"
         )
-    return Tensor3(np.tensordot(ctx.tube_map_inv, slices, axes=(1, 0)))
+    return Tensor3(_apply_tube_map(ctx.tube_map_inv, slices))
 
 
 def mat_embed(A: Tensor3) -> np.ndarray:

@@ -183,6 +183,26 @@ def test_malformed_file_is_exit_two(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("command", ["pinv", "cprod"])
+@pytest.mark.parametrize("entry", ["nan", "inf", "(1,nan)"])
+def test_non_finite_file_is_exit_two(tmp_path, capsys, command, entry):
+    field = "complex" if entry.startswith("(") else "real"
+    bad = tmp_path / "bad.ct"
+    bad.write_text(f"ct-tensor 1\ndims 1 1 1\nfield {field}\nslice 0\n{entry}\n")
+    args = [str(bad)] * (2 if command == "cprod" else 1)
+    code, out, err = run(capsys, command, *args)
+    assert code == 2 and out == ""
+    assert "line 5" in err and "non-finite" in err
+
+
+def test_real_input_gives_real_pinv_file(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    A = random_tensor(rng, 4, 3, 5)
+    code, out, _ = run(capsys, "pinv", write(tmp_path, "a.ct", A))
+    assert code == 0
+    assert out.splitlines()[2] == "field real"
+
+
 def test_shape_mismatch_is_exit_one(tmp_path, capsys):
     rng = np.random.default_rng(6)
     A = random_tensor(rng, 2, 3, 2)

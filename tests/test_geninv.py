@@ -21,11 +21,14 @@ from ctprod import (
     drazin_inverse,
     group_inverse,
     inverse_along,
+    mat_embed,
     max_abs_diff,
     mp_inverse,
+    ten_extract,
     tensor_from_transform_slices,
     tensor_index,
 )
+from ctprod.kernels import pinv_matrix
 
 import golden
 from helpers import equal_rank_tensor, index_two_tensor, random_tensor
@@ -268,3 +271,99 @@ def test_check_detects_wrong_inverse():
     A = equal_rank_tensor(rng, 3, 3, 2, ctx)
     wrong = conj_transpose(A, ctx)
     assert max(check_penrose(A, wrong, ctx).values()) > 1e-3
+
+
+def count_transforms(monkeypatch):
+    """Count calls of the four public transform functions in every ctprod
+    module that holds them."""
+    import sys
+    from collections import Counter
+
+    import ctprod.transform as tr
+
+    counts = Counter()
+    for name, kind in [
+        ("transform_slices", "fwd"),
+        ("to_transform", "fwd"),
+        ("tensor_from_transform_slices", "inv"),
+        ("from_transform", "inv"),
+    ]:
+        fn = getattr(tr, name)
+
+        def counted(*args, _fn=fn, _kind=kind, **kwargs):
+            counts[_kind] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("ctprod") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_transform_counts(monkeypatch):
+    rng = np.random.default_rng(15)
+    ctx = build_context(4)
+    A = random_tensor(rng, 3, 3, 4, complex_=True)
+    G = random_tensor(rng, 3, 3, 4, complex_=True)
+    X = random_tensor(rng, 3, 3, 4, complex_=True)
+    counts = count_transforms(monkeypatch)
+    mp_inverse(A, ctx)
+    assert counts["fwd"] <= 3 and counts["inv"] <= 5
+    for check, args, fwd, inv in [
+        (check_penrose, (A, X), 2, 4),
+        (check_drazin, (A, X, 2), 2, 3),
+        (check_along, (A, G, X), 3, 4),
+    ]:
+        counts.clear()
+        check(*args, ctx)
+        assert (counts["fwd"], counts["inv"]) == (fwd, inv), check.__name__
+
+
+def _oracle_max_abs(E, dims) -> float:
+    """Storage max-abs of the tensor whose embedding is E."""
+    return float(np.abs(ten_extract(E, dims).slices).max())
+
+
+@pytest.mark.parametrize("n1,n2,n3", [(3, 3, 1), (2, 4, 3), (4, 2, 5), (3, 3, 4)])
+def test_residuals_match_the_embedding_oracle(n1, n2, n3):
+    rng = np.random.default_rng(16 + n1 + n2 + n3)
+    ctx = build_context(n3)
+    A = random_tensor(rng, n1, n2, n3, complex_=True)
+    X = random_tensor(rng, n2, n1, n3, complex_=True)
+    G = random_tensor(rng, n2, n1, n3, complex_=True)
+    ea, ex, eg = mat_embed(A), mat_embed(X), mat_embed(G)
+    eax, exa, egdag = ea @ ex, ex @ ea, pinv_matrix(eg)
+    da, dx = (n1, n2, n3), (n2, n1, n3)
+    pairs = [
+        (
+            check_penrose(A, X, ctx),
+            {
+                "axa": _oracle_max_abs(eax @ ea - ea, da),
+                "xax": _oracle_max_abs(exa @ ex - ex, dx),
+                "ax_hermitian": _oracle_max_abs(eax - eax.conj().T, (n1, n1, n3)),
+                "xa_hermitian": _oracle_max_abs(exa - exa.conj().T, (n2, n2, n3)),
+            },
+        ),
+        (
+            check_along(A, G, X, ctx),
+            {
+                "xag": _oracle_max_abs(exa @ eg - eg, dx),
+                "gax": _oracle_max_abs(eg @ ea @ ex - eg, dx),
+                "witness_u": _oracle_max_abs(eg @ (egdag @ ex) - ex, dx),
+                "witness_v": _oracle_max_abs((ex @ egdag) @ eg - ex, dx),
+            },
+        ),
+    ]
+    if n1 == n2:
+        for k in (0, 2):
+            eak = np.linalg.matrix_power(ea, k)
+            want = {
+                "power": _oracle_max_abs(eak @ ea @ ex - eak, da),
+                "xax": _oracle_max_abs(exa @ ex - ex, dx),
+                "commute": _oracle_max_abs(eax - exa, da),
+            }
+            pairs.append((check_drazin(A, X, k, ctx), want))
+    for got, want in pairs:
+        assert set(got) == set(want)
+        for key, w in want.items():
+            assert abs(got[key] - w) <= 1e-10 * (1.0 + w), key

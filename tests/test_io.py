@@ -114,6 +114,11 @@ def test_parse_accepts_bytes_and_str():
         ("ct-tensor 1\ndims 1 1 1\nfield complex\nslice 0\n1.5\n", 5),
         ("ct-tensor 1\ndims 1 1 1\nfield complex\nslice 0\n(1;2)\n", 5),
         ("ct-tensor 1\ndims 1 1 1\nfield real\nslice 0\n1\nextra\n", 6),
+        ("ct-tensor 1\ndims 1 2 1\nfield real\nslice 0\n1 nan\n", 5),
+        ("ct-tensor 1\ndims 2 1 2\nfield real\nslice 0\n1\n2\nslice 1\n3\n-inf\n", 9),
+        ("ct-tensor 1\ndims 1 1 1\nfield real\nslice 0\n1e999\n", 5),
+        ("ct-tensor 1\ndims 1 2 1\nfield complex\nslice 0\n(1,2) (nan,0)\n", 5),
+        ("ct-tensor 1\ndims 1 1 1\nfield complex\nslice 0\n(0,inf)\n", 5),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

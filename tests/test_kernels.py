@@ -78,6 +78,19 @@ def test_pinv_degenerate():
     assert pinv_matrix(np.zeros((2, 3))).shape == (3, 2)
     assert pinv_matrix(np.zeros((2, 0))).shape == (0, 2)
     np.testing.assert_array_equal(pinv_matrix(np.zeros((2, 3))), np.zeros((3, 2)))
+    assert pinv_matrix(np.zeros((4, 2, 0))).shape == (4, 0, 2)
+    with pytest.raises(ShapeMismatch):
+        pinv_matrix(np.zeros(3))
+
+
+@pytest.mark.parametrize("tol", [None, 1e-8])
+@pytest.mark.parametrize("shape", [(4, 4), (5, 3), (3, 5)])
+def test_pinv_of_a_stack_matches_each_matrix(shape, tol):
+    rng = np.random.default_rng(3)
+    stack = [random_matrix(rng, *shape), rank_deficient(rng, *shape, 2), np.zeros(shape)]
+    stack.append(1e-9 * random_matrix(rng, *shape))
+    want = np.stack([pinv_matrix(a, tol) for a in stack])
+    np.testing.assert_array_equal(pinv_matrix(np.stack(stack), tol), want)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (5, 3), (3, 5)])

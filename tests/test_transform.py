@@ -16,6 +16,7 @@ from ctprod import (
     identity_tensor,
     mat_embed,
     max_abs_diff,
+    mode3_product,
     ten_extract,
     tensor_from_transform_slices,
     to_transform,
@@ -74,6 +75,19 @@ def test_transform_round_trip():
     assert max_abs_diff(from_transform(to_transform(A, ctx), ctx), A) < 1e-13
     hat = transform_slices(A, ctx)
     assert max_abs_diff(tensor_from_transform_slices(hat, ctx), A) < 1e-13
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 6), (1, 1, 1), (0, 2, 3), (2, 0, 2)])
+def test_transform_matches_the_complex_mode3_product(dims):
+    rng = np.random.default_rng(7)
+    ctx = build_context(dims[2])
+    for A in (random_tensor(rng, *dims), random_tensor(rng, *dims, complex_=True)):
+        for fwd, M in ((True, ctx.tube_map), (False, ctx.tube_map_inv)):
+            want = mode3_product(A, M.astype(complex))
+            got = to_transform(A, ctx) if fwd else from_transform(A, ctx)
+            assert max_abs_diff(got, want) <= 1e-14 * (1.0 + np.abs(want.slices).max(initial=0.0))
+            if not np.any(A.slices.imag):
+                assert not np.any(got.slices.imag)
 
 
 def test_transform_wrong_context():
