@@ -13,7 +13,6 @@ with a CLI.
 from .decompositions import (
     CFullRank,
     CHs,
-    CoreNilpotentParts,
     CQdr,
     CQr,
     CSchur,
@@ -24,7 +23,6 @@ from .decompositions import (
     c_qr,
     c_schur,
     c_svd,
-    core_nilpotent_parts,
 )
 from .errors import (
     BlockDiagonalizationFailure,
@@ -44,12 +42,14 @@ from .errors import (
 )
 from .geninv import (
     AlongMethod,
+    CoreNilpotentParts,
     DrazinMethod,
     GenInvResult,
     MpMethod,
     check_along,
     check_drazin,
     check_penrose,
+    core_nilpotent_parts,
     drazin_inverse,
     group_inverse,
     inverse_along,

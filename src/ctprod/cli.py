@@ -11,11 +11,12 @@ usage errors and unreadable or malformed input files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .decompositions import c_full_rank, c_hs, c_qdr, c_qr, c_schur, c_svd, core_nilpotent_parts
+from .decompositions import c_full_rank, c_hs, c_qdr, c_qr, c_schur, c_svd
 from .errors import CtError, DimsMismatch, InvalidAlpha, ParseError
 from .geninv import (
     AlongMethod,
@@ -24,6 +25,7 @@ from .geninv import (
     check_along,
     check_drazin,
     check_penrose,
+    core_nilpotent_parts,
     drazin_inverse,
     group_inverse,
     inverse_along,
@@ -51,8 +53,34 @@ def _emit(A: Tensor3, out: str | None) -> None:
         sys.stdout.write(data.decode("ascii"))
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite float >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
+def _positive_int(text: str) -> int:
+    """A --steps value: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
+def _add_tol(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=_tolerance, default=None, help="rank tolerance override")
+
+
 def _add_common(p: argparse.ArgumentParser, *, output: bool = True) -> None:
-    p.add_argument("--tol", type=float, default=None, help="rank tolerance override")
+    _add_tol(p)
     if output:
         p.add_argument("-o", "--output", default=None, help="write the result here instead of stdout")
 
@@ -100,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["svd", "qr", "schur", "fullrank", "qdr", "hs", "corenil"],
     )
-    p.add_argument("--tol", type=float, default=None, help="rank tolerance override")
+    _add_tol(p)
     p.add_argument(
         "-o",
         "--output",
@@ -117,14 +145,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also run this estimator, reporting per-step errors on stderr",
     )
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_positive_int, default=1000)
     p.add_argument("--alpha", type=float, default=0.5)
     _add_common(p)
 
     p = sub.add_parser("check", help="report residuals of an inverse relation")
     p.add_argument("files", nargs="+", metavar="FILE")
     p.add_argument("--relation", choices=["mp", "drazin", "along"], required=True)
-    p.add_argument("--tol", type=float, default=None, help="rank tolerance override")
+    _add_tol(p)
 
     return parser
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import RankMismatch, ShapeMismatch
-from .kernels import full_rank_matrix, numerical_rank, qdr_matrix, qr_matrix, schur_matrix, svd_matrix
+from .errors import ShapeMismatch
+from .kernels import common_rank, full_rank_matrix, qdr_matrix, qr_matrix, schur_matrix, svd_matrix
 from .product import conj_transpose, cprod
 from .tensor import BlockPartition2x2, Tensor3, block_compose
 from .transform import TransformContext, tensor_from_transform_slices, transform_slices
@@ -26,14 +24,12 @@ __all__ = [
     "CFullRank",
     "CQdr",
     "CHs",
-    "CoreNilpotentParts",
     "c_svd",
     "c_qr",
     "c_schur",
     "c_full_rank",
     "c_qdr",
     "c_hs",
-    "core_nilpotent_parts",
 ]
 
 
@@ -135,100 +131,41 @@ class CHs:
         return cprod(cprod(self.U, self.middle(ctx), ctx), uh, ctx)
 
 
-@dataclass(frozen=True)
-class CoreNilpotentParts:
-    """A = coreC + nilN with coreC = A^2 *c A^D and nilN^k = O."""
-
-    coreC: Tensor3
-    nilN: Tensor3
-    k: int
+def _tensors(ctx: TransformContext, *stacks) -> list[Tensor3]:
+    """The tensors whose transform slices are the given stacks."""
+    return [tensor_from_transform_slices(s, ctx) for s in stacks]
 
 
 def c_svd(A: Tensor3, ctx: TransformContext) -> CSvd:
     """Singular value decomposition under the C-product (slicewise SVD)."""
-    ah = transform_slices(A, ctx)
-    us, ss, vs = [], [], []
-    for a in ah:
-        d = svd_matrix(a)
-        us.append(d.U)
-        ss.append(d.sigma())
-        vs.append(d.V)
-    return CSvd(
-        U=tensor_from_transform_slices(np.stack(us), ctx),
-        S=tensor_from_transform_slices(np.stack(ss), ctx),
-        V=tensor_from_transform_slices(np.stack(vs), ctx),
-    )
+    d = svd_matrix(transform_slices(A, ctx))
+    return CSvd(*_tensors(ctx, d.U, d.sigma(), d.V))
 
 
 def c_qr(A: Tensor3, ctx: TransformContext) -> CQr:
     """QR decomposition under the C-product (slicewise Householder QR)."""
-    ah = transform_slices(A, ctx)
-    qs, rs = [], []
-    for a in ah:
-        f = qr_matrix(a)
-        qs.append(f.Q)
-        rs.append(f.R)
-    return CQr(
-        Q=tensor_from_transform_slices(np.stack(qs), ctx),
-        R=tensor_from_transform_slices(np.stack(rs), ctx),
-    )
+    f = qr_matrix(transform_slices(A, ctx))
+    return CQr(*_tensors(ctx, f.Q, f.R))
 
 
 def c_schur(A: Tensor3, ctx: TransformContext) -> CSchur:
     """Schur decomposition under the C-product; requires square A."""
     if A.n1 != A.n2:
         raise ShapeMismatch(f"dims {A.dims} are not square")
-    ah = transform_slices(A, ctx)
-    qs, ts = [], []
-    for a in ah:
-        f = schur_matrix(a)
-        qs.append(f.Q)
-        ts.append(f.T)
-    return CSchur(
-        Q=tensor_from_transform_slices(np.stack(qs), ctx),
-        T=tensor_from_transform_slices(np.stack(ts), ctx),
-    )
-
-
-def _equal_slice_ranks(ah: np.ndarray, tol: float | None) -> int:
-    ranks = [numerical_rank(a, tol) for a in ah]
-    if len(set(ranks)) > 1:
-        raise RankMismatch(ranks)
-    return ranks[0]
+    f = schur_matrix(transform_slices(A, ctx))
+    return CSchur(*_tensors(ctx, f.Q, f.T))
 
 
 def c_full_rank(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> CFullRank:
     """Full-rank decomposition A = Mfac *c Nfac; requires equal slice ranks."""
-    ah = transform_slices(A, ctx)
-    r = _equal_slice_ranks(ah, tol)
-    ms, ns = [], []
-    for a in ah:
-        f = full_rank_matrix(a, tol)
-        ms.append(f.M)
-        ns.append(f.N)
-    return CFullRank(
-        Mfac=tensor_from_transform_slices(np.stack(ms), ctx),
-        Nfac=tensor_from_transform_slices(np.stack(ns), ctx),
-        r=r,
-    )
+    f = full_rank_matrix(transform_slices(A, ctx), tol)
+    return CFullRank(*_tensors(ctx, f.M, f.N), r=f.r)
 
 
 def c_qdr(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> CQdr:
     """QDR decomposition A = Q *c D *c R; requires equal slice ranks."""
-    ah = transform_slices(A, ctx)
-    r = _equal_slice_ranks(ah, tol)
-    qs, ds, rs = [], [], []
-    for a in ah:
-        f = qdr_matrix(a, tol)
-        qs.append(f.Q)
-        ds.append(f.D)
-        rs.append(f.R)
-    return CQdr(
-        Q=tensor_from_transform_slices(np.stack(qs), ctx),
-        D=tensor_from_transform_slices(np.stack(ds), ctx),
-        R=tensor_from_transform_slices(np.stack(rs), ctx),
-        r=r,
-    )
+    f = qdr_matrix(transform_slices(A, ctx), tol)
+    return CQdr(*_tensors(ctx, f.Q, f.D, f.R), r=f.r)
 
 
 def c_hs(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> CHs:
@@ -239,33 +176,19 @@ def c_hs(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> CHs:
     """
     if A.n1 != A.n2:
         raise ShapeMismatch(f"dims {A.dims} are not square")
-    ah = transform_slices(A, ctx)
-    r = _equal_slice_ranks(ah, tol)
-    d = c_svd(A, ctx)
+    d = svd_matrix(transform_slices(A, ctx))
+    r = common_rank(d.rank(tol))
+    U, S, V = _tensors(ctx, d.U, d.sigma(), d.V)
     # Sub-blocks in storage match sub-blocks of every transform slice because
-    # the transform acts along tubes only.
-    Sr = Tensor3(d.S.slices[:, :r, :r])
-    W = cprod(conj_transpose(d.V, ctx), d.U, ctx)
+    # the transform acts along tubes only.  W goes through storage on
+    # purpose: the roundoff of K feeds the index decisions of the HS Drazin
+    # route under the default cutoff, and forming W in the transform domain
+    # changes which inputs that route misjudges.
+    W = cprod(conj_transpose(V, ctx), U, ctx)
     return CHs(
-        U=d.U,
-        Sr=Sr,
+        U=U,
+        Sr=Tensor3(S.slices[:, :r, :r]),
         K=Tensor3(W.slices[:, :r, :r]),
         Lblk=Tensor3(W.slices[:, :r, r:]),
         r=r,
     )
-
-
-def core_nilpotent_parts(
-    A: Tensor3, ctx: TransformContext, tol: float | None = None
-) -> CoreNilpotentParts:
-    """Split a square tensor into its core and nilpotent parts.
-
-    coreC = A^2 *c A^D and nilN = A - coreC, with nilN^k = O for k the
-    tensor index of A.
-    """
-    from .geninv import drazin_inverse, tensor_index
-
-    k = tensor_index(A, ctx, tol)
-    ad = drazin_inverse(A, ctx, tol=tol).X
-    coreC = cprod(cprod(A, A, ctx), ad, ctx)
-    return CoreNilpotentParts(coreC=coreC, nilN=A - coreC, k=k)

@@ -16,7 +16,16 @@ import numpy as np
 
 from .decompositions import _stack_2x2, c_full_rank, c_hs, c_qdr, c_qr, c_schur, c_svd
 from .errors import IndexTooLarge, NotInvertibleAlong, ShapeMismatch
-from .kernels import core_nilpotent_matrix, drazin_matrix, index_matrix, numerical_rank, pinv_matrix, svd_matrix
+from .kernels import (
+    MatrixSvd,
+    core_nilpotent_matrix,
+    drazin_matrix,
+    index_matrix,
+    leading_block_inverse,
+    numerical_rank,
+    pinv_matrix,
+    svd_matrix,
+)
 from .product import conj_transpose, cprod, tensor_inverse, tensor_power
 from .tensor import Tensor3
 from .transform import TransformContext, tensor_from_transform_slices, transform_slices
@@ -26,10 +35,12 @@ __all__ = [
     "DrazinMethod",
     "AlongMethod",
     "GenInvResult",
+    "CoreNilpotentParts",
     "mp_inverse",
     "tensor_index",
     "drazin_inverse",
     "group_inverse",
+    "core_nilpotent_parts",
     "inverse_along",
     "check_penrose",
     "check_drazin",
@@ -74,6 +85,15 @@ class GenInvResult:
     X: Tensor3
     residuals: dict[str, float] = field(compare=False)
     k: int | None = None
+
+
+@dataclass(frozen=True)
+class CoreNilpotentParts:
+    """A = coreC + nilN with coreC = A^2 *c A^D and nilN^k = O."""
+
+    coreC: Tensor3
+    nilN: Tensor3
+    k: int
 
 
 def _pinv_slicewise(A: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
@@ -158,8 +178,7 @@ def tensor_index(A: Tensor3, ctx: TransformContext, tol: float | None = None) ->
     """Index of a square tensor: the largest index of any transform slice."""
     if A.n1 != A.n2:
         raise ShapeMismatch(f"dims {A.dims} are not square")
-    ah = transform_slices(A, ctx)
-    return max(index_matrix(a, tol) for a in ah)
+    return int(index_matrix(transform_slices(A, ctx), tol).max())
 
 
 def _drazin_via_power(A: Tensor3, ctx: TransformContext, k: int, tol: float | None) -> Tensor3:
@@ -180,23 +199,15 @@ def _drazin_via_qdr(A: Tensor3, ctx: TransformContext, k: int, tol: float | None
 
 
 def _drazin_via_core_nilpotent(A: Tensor3, ctx: TransformContext, k: int, tol: float | None) -> Tensor3:
-    ah = transform_slices(A, ctx)
-    out = []
-    for a in ah:
-        f = core_nilpotent_matrix(a, tol)
-        n = a.shape[0]
-        blk = np.zeros((n, n), dtype=np.complex128)
-        blk[: f.r, : f.r] = np.linalg.inv(f.C) if f.r else np.zeros((0, 0))
-        out.append(f.P @ blk @ np.linalg.inv(f.P))
-    return tensor_from_transform_slices(np.stack(out), ctx)
+    f = core_nilpotent_matrix(transform_slices(A, ctx), tol)
+    return tensor_from_transform_slices(f.P @ leading_block_inverse(f.F, f.r) @ np.linalg.inv(f.P), ctx)
 
 
 def _drazin_via_hs(A: Tensor3, ctx: TransformContext, k: int, tol: float | None) -> Tensor3:
     f = c_hs(A, ctx, tol)
     n, r, n3 = A.n1, f.r, A.n3
     srk = cprod(f.Sr, f.K, ctx)
-    gh = transform_slices(srk, ctx)
-    gd = tensor_from_transform_slices(np.stack([drazin_matrix(g, tol) for g in gh]), ctx)
+    gd = tensor_from_transform_slices(drazin_matrix(transform_slices(srk, ctx), tol), ctx)
     mid = _stack_2x2(
         gd,
         cprod(cprod(cprod(gd, gd, ctx), f.Sr, ctx), f.Lblk, ctx),
@@ -242,30 +253,42 @@ def group_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) -
     return GenInvResult(X=X, residuals=check_drazin(A, X, 1, ctx), k=k)
 
 
+def core_nilpotent_parts(
+    A: Tensor3, ctx: TransformContext, tol: float | None = None
+) -> CoreNilpotentParts:
+    """Split a square tensor into its core and nilpotent parts.
+
+    coreC = A^2 *c A^D and nilN = A - coreC, with nilN^k = O for k the
+    tensor index of A.
+    """
+    res = drazin_inverse(A, ctx, tol=tol)
+    coreC = cprod(cprod(A, A, ctx), res.X, ctx)
+    return CoreNilpotentParts(coreC=coreC, nilN=A - coreC, k=res.k)
+
+
 def _along_existence(
     ah: np.ndarray, gh: np.ndarray, tol: float | None
-) -> list[tuple[np.ndarray, np.ndarray, int, np.ndarray]]:
-    """Per transform slice: SVD factors of G-hat, its rank, and the leading
-    block of V^H A-hat U.  Raises NotInvertibleAlong if any block is
-    singular (the inverse along G then does not exist)."""
-    out = []
-    for i, (a, g) in enumerate(zip(ah, gh)):
-        d = svd_matrix(g)
-        r = numerical_rank(g, tol)
-        xi = (d.V.conj().T @ a @ d.U)[:r, :r]
-        if numerical_rank(xi, tol) < r:
-            raise NotInvertibleAlong(i)
-        out.append((d.U, d.V, r, xi))
-    return out
+) -> tuple[MatrixSvd, np.ndarray, np.ndarray]:
+    """SVD factors of the G-hat slices, their ranks r, and V^H A-hat U per
+    slice.  Raises NotInvertibleAlong at the first slice whose leading r x r
+    block of V^H A-hat U is singular (the inverse along G then does not exist)."""
+    d = svd_matrix(gh)
+    r = d.rank(tol)
+    y = d.V.conj().swapaxes(1, 2) @ ah @ d.U
+    singular = []
+    for rv in np.unique(r):
+        at = np.flatnonzero(r == rv)
+        singular.extend(at[numerical_rank(y[at, :rv, :rv], tol) < rv])
+    if singular:
+        raise NotInvertibleAlong(int(min(singular)))
+    return d, r, y
 
 
 def _along_via_svd(A: Tensor3, G: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    ah = transform_slices(A, ctx)
-    gh = transform_slices(G, ctx)
-    out = []
-    for U, V, r, xi in _along_existence(ah, gh, tol):
-        out.append(U[:, :r] @ np.linalg.inv(xi) @ V[:, :r].conj().T)
-    return tensor_from_transform_slices(np.stack(out), ctx)
+    d, r, y = _along_existence(transform_slices(A, ctx), transform_slices(G, ctx), tol)
+    k = min(y.shape[1:])
+    xh = d.U[:, :, :k] @ leading_block_inverse(y[:, :k, :k], r) @ d.V[:, :, :k].conj().swapaxes(1, 2)
+    return tensor_from_transform_slices(xh, ctx)
 
 
 def _along_via_gag(A: Tensor3, G: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:

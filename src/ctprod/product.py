@@ -128,13 +128,10 @@ def tensor_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) 
     """
     _require_square(A)
     ah = transform_slices(A, ctx)
-    n = A.n1
-    out = np.empty_like(ah)
-    for i in range(ctx.n3):
-        if numerical_rank(ah[i], tol) < n:
-            raise SingularSlice(i)
-        out[i] = np.linalg.inv(ah[i])
-    return tensor_from_transform_slices(out, ctx)
+    singular = np.flatnonzero(numerical_rank(ah, tol) < A.n1)
+    if singular.size:
+        raise SingularSlice(int(singular[0]))
+    return tensor_from_transform_slices(np.linalg.inv(ah), ctx)
 
 
 def tensor_power(A: Tensor3, k: int, ctx: TransformContext) -> Tensor3:
@@ -144,6 +141,4 @@ def tensor_power(A: Tensor3, k: int, ctx: TransformContext) -> Tensor3:
     _require_square(A)
     if k == 0:
         return identity_tensor(A.n1, ctx)
-    ah = transform_slices(A, ctx)
-    out = np.stack([np.linalg.matrix_power(ah[i], k) for i in range(ctx.n3)])
-    return tensor_from_transform_slices(out, ctx)
+    return tensor_from_transform_slices(np.linalg.matrix_power(transform_slices(A, ctx), k), ctx)

@@ -22,7 +22,6 @@ __all__ = [
     "block_split",
     "block_compose",
     "max_abs_diff",
-    "approx_equal",
 ]
 
 
@@ -215,7 +214,3 @@ def max_abs_diff(A: Tensor3, B: Tensor3) -> float:
     if A.slices.size == 0:
         return 0.0
     return float(np.abs(A.slices - B.slices).max())
-
-
-def approx_equal(A: Tensor3, B: Tensor3, tol: float) -> bool:
-    return max_abs_diff(A, B) <= tol

@@ -62,13 +62,9 @@ class TransformContext:
     Attributes
     ----------
     n3 : int
-    dct : ndarray
-        Orthonormal DCT-II matrix C (so C^-1 = C^T).
     dct_col_scale : ndarray
-        First column of C; the diagonal of W (strictly positive, hence W is
-        invertible).
-    upshift : ndarray
-        Z with ones on the first superdiagonal.
+        First column of the orthonormal DCT-II matrix C; the diagonal of W
+        (strictly positive, hence W is invertible).
     tube_map : ndarray
         M = W^-1 C (I + Z): applied along tubes by the forward transform.
     tube_map_inv : ndarray
@@ -76,29 +72,24 @@ class TransformContext:
     """
 
     n3: int
-    dct: np.ndarray
     dct_col_scale: np.ndarray
-    upshift: np.ndarray
     tube_map: np.ndarray
     tube_map_inv: np.ndarray
 
 
 def build_context(n3: int) -> TransformContext:
     """Build the :class:`TransformContext` for third dimension n3 >= 1."""
-    C = dct_matrix(n3)
-    w = C[:, 0].copy()
-    Z = upshift_matrix(n3)
     # C (I + Z) without the dense product: Z shifts C's columns right by one.
-    # Built in place, so no n3 x n3 temporary is alive during the inverse.
-    M = C.copy()
-    M[:, 1:] += C[:, :-1]
+    # Built in C's own buffer (numpy buffers the overlapping operand), so no
+    # other n3 x n3 matrix is alive during the inverse.
+    M = dct_matrix(n3)
+    w = M[:, 0].copy()
+    M[:, 1:] += M[:, :-1]
     M /= w[:, None]
     M_inv = np.linalg.inv(M)
-    for arr in (C, w, Z, M, M_inv):
+    for arr in (w, M, M_inv):
         arr.setflags(write=False)
-    return TransformContext(
-        n3=n3, dct=C, dct_col_scale=w, upshift=Z, tube_map=M, tube_map_inv=M_inv
-    )
+    return TransformContext(n3=n3, dct_col_scale=w, tube_map=M, tube_map_inv=M_inv)
 
 
 def _check_n3(A: Tensor3, ctx: TransformContext) -> None:
@@ -210,7 +201,7 @@ def block_diag_oracle(
     """
     _check_n3(A, ctx)
     n1, n2, n3 = A.dims
-    C = ctx.dct
+    C = dct_matrix(n3)
     K = np.kron(C, np.eye(n1)) @ mat_embed(A) @ np.kron(C.T, np.eye(n2))
     blocks = []
     mask = np.ones(K.shape, dtype=bool)

@@ -144,6 +144,34 @@ def test_markov_rejects_bad_alpha(tmp_path, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("steps", ["0", "-5", "x"])
+def test_markov_rejects_bad_steps(tmp_path, capsys, steps):
+    rng = np.random.default_rng(5)
+    ctx = build_context(2)
+    P = tensor_from_transform_slices(np.stack([stochastic_matrix(rng, 2)] * 2), ctx)
+    code, out, err = run(
+        capsys, "markov", write(tmp_path, "p.ct", P), "--estimator", "cesaro", f"--steps={steps}"
+    )
+    assert code == 2 and out == ""
+    assert "error: argument --steps: must be an integer" in err
+
+
+@pytest.mark.parametrize("command", ["index", "pinv", "drazin", "decomp", "check"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-8", "abc"])
+def test_bad_tol_is_exit_two(square, capsys, command, tol):
+    _, path = square
+    extra = {"decomp": ["--kind", "fullrank"], "check": [path, "--relation", "mp"]}.get(command, [])
+    code, out, err = run(capsys, command, path, *extra, f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert "error: argument --tol: must be a finite number" in err
+
+
+def test_zero_tol_is_accepted(square, capsys):
+    _, path = square
+    code, out, _ = run(capsys, "index", path, "--tol", "0")
+    assert code == 0 and out.strip() == "0"
+
+
 def test_markov_rejects_nonstochastic(square, capsys):
     _, path = square
     code, _, err = run(capsys, "markov", path)

@@ -13,6 +13,8 @@ from ctprod import (
     ShapeMismatch,
     Tensor3,
     build_context,
+    c_full_rank,
+    c_qdr,
     check_along,
     check_drazin,
     check_penrose,
@@ -367,3 +369,43 @@ def test_residuals_match_the_embedding_oracle(n1, n2, n3):
         assert set(got) == set(want)
         for key, w in want.items():
             assert abs(got[key] - w) <= 1e-10 * (1.0 + w), key
+
+
+def test_svd_calls_do_not_grow_with_n3(monkeypatch):
+    """Every rank, index and factor decision is one stacked SVD call per
+    tensor (or per distinct rank or index), however many slices there are."""
+    from collections import Counter
+
+    counts = Counter()
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+
+    def calls(n3):
+        rng = np.random.default_rng(17)
+        ctx = build_context(n3)
+        E = equal_rank_tensor(rng, 5, 4, 3, ctx)
+        D = index_two_tensor(rng, 5, ctx)
+        A = random_tensor(rng, 4, 5, n3, complex_=True)
+        G = equal_rank_tensor(rng, 5, 4, 3, ctx)
+        ops = {
+            "tensor_index": lambda: tensor_index(D, ctx, 1e-8),
+            "c_full_rank": lambda: c_full_rank(E, ctx, 1e-8),
+            "c_qdr": lambda: c_qdr(E, ctx, 1e-8),
+        }
+        ops.update({f"drazin:{m.value}": lambda m=m: drazin_inverse(D, ctx, m, 1e-8) for m in DrazinMethod})
+        ops.update({f"along:{m.value}": lambda m=m: inverse_along(A, G, ctx, m, 1e-8) for m in AlongMethod})
+        out = {}
+        for name, op in ops.items():
+            counts.clear()
+            op()
+            out[name] = counts["svd"]
+        return out
+
+    small, large = calls(4), calls(16)
+    assert small == large
+    assert max(small.values()) <= 10

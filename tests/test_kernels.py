@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctprod.errors import ShapeMismatch
+from ctprod.errors import RankMismatch, ShapeMismatch
 from ctprod.kernels import (
     core_nilpotent_matrix,
     default_rank_tol,
     drazin_matrix,
     full_rank_matrix,
     index_matrix,
+    leading_block_inverse,
     numerical_rank,
     pinv_matrix,
     qdr_matrix,
@@ -222,3 +225,73 @@ def test_core_nilpotent_split():
     np.testing.assert_allclose(f.P @ assembled @ np.linalg.inv(f.P), a, atol=1e-10)
     assert numerical_rank(f.C) == 3
     np.testing.assert_allclose(np.linalg.matrix_power(f.N, f.k), 0, atol=1e-10)
+
+
+def with_index(rng, n, j):
+    """P blkdiag(C, J_j) P^-1 with C invertible and J_j the j x j upshift, so
+    the index is j (j = 0: invertible); j = -1 gives the zero matrix."""
+    if j < 0:
+        return np.zeros((n, n), dtype=complex)
+    blk = np.zeros((n, n), dtype=complex)
+    blk[: n - j, : n - j] = np.eye(n - j) * rng.uniform(1.0, 2.0) + 0.2 * random_matrix(rng, n - j, n - j)
+    blk[np.arange(n - j, n - 1), np.arange(n - j + 1, n)] = 1.0
+    p = np.eye(n) + 0.3 * random_matrix(rng, n, n)
+    return p @ blk @ np.linalg.inv(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    n=st.integers(1, 5),
+    kinds=st.lists(st.tuples(st.integers(-1, 5), st.sampled_from([1.0, 1e-9])), min_size=1, max_size=6),
+    tol=st.sampled_from([None, 1e-8]),
+)
+def test_stacked_rank_index_and_svd_match_each_matrix(seed, m, n, kinds, tol):
+    # kinds: (r, scale) per matrix; r = -1 a full random matrix, r >= 0 rank
+    # min(r, m, n) (0: the zero matrix); for the square stack r is the index.
+    rng = np.random.default_rng(seed)
+    stack = np.stack([
+        scale * (random_matrix(rng, m, n) if r < 0 else rank_deficient(rng, m, n, min(r, m, n)))
+        for r, scale in kinds
+    ])
+    ranks = numerical_rank(stack, tol)
+    assert ranks.tolist() == [numerical_rank(a, tol) for a in stack]
+    d = svd_matrix(stack)
+    for i, a in enumerate(stack):
+        di = svd_matrix(a)
+        for got, want in ((d.U[i], di.U), (d.s[i], di.s), (d.V[i], di.V)):
+            np.testing.assert_array_equal(got, want)
+        assert d.rank(tol)[i] == di.rank(tol)
+        np.testing.assert_array_equal(d.sigma()[i], di.sigma())
+    square = np.stack([scale * with_index(rng, n, min(j, n)) for j, scale in kinds])
+    assert index_matrix(square, tol).tolist() == [index_matrix(a, tol) for a in square]
+    np.testing.assert_array_equal(drazin_matrix(square, tol), np.stack([drazin_matrix(a, tol) for a in square]))
+    assert core_nilpotent_matrix(square, tol).r.tolist() == [core_nilpotent_matrix(a, tol).r for a in square]
+
+
+def test_stacked_factors_share_one_rank():
+    rng = np.random.default_rng(11)
+    equal = np.stack([rank_deficient(rng, 4, 3, 2) for _ in range(3)])
+    f = full_rank_matrix(equal)
+    g = qdr_matrix(equal)
+    assert f.r == g.r == 2
+    np.testing.assert_allclose(f.M @ f.N, equal, atol=1e-12)
+    np.testing.assert_allclose(g.Q @ g.D @ g.R, equal, atol=1e-12)
+    np.testing.assert_array_equal(g.R[1], qdr_matrix(equal[1]).R)
+    mixed = np.concatenate([equal, np.zeros((1, 4, 3))])
+    for kernel in (full_rank_matrix, qdr_matrix):
+        with pytest.raises(RankMismatch) as err:
+            kernel(mixed)
+        assert err.value.ranks == [2, 2, 2, 0]
+
+
+def test_leading_block_inverse_matches_each_block():
+    rng = np.random.default_rng(12)
+    stack = np.stack([random_matrix(rng, 4, 4) + 3 * np.eye(4) for _ in range(5)])
+    ranks = [0, 1, 2, 4, 3]
+    got = leading_block_inverse(stack, np.array(ranks))
+    for a, g, r in zip(stack, got, ranks):
+        want = np.zeros((4, 4), dtype=complex)
+        want[:r, :r] = np.linalg.inv(a[:r, :r])
+        np.testing.assert_allclose(g, want, atol=1e-13)

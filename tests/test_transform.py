@@ -61,6 +61,19 @@ def test_tube_map_closed_form():
     np.testing.assert_allclose(ctx.tube_map @ ctx.tube_map_inv, np.eye(n3), atol=1e-13)
 
 
+@pytest.mark.parametrize("n3", [1, 2, 5, 64, 2048])
+def test_tube_map_is_bit_identical_to_the_separate_buffer_build(n3):
+    # M = W^-1 C (I + Z) formed from an untouched copy of C: the context
+    # builds it in C's own buffer and must give the same bits.
+    C = dct_matrix(n3)
+    M = C.copy()
+    M[:, 1:] += C[:, :-1]
+    M /= C[:, 0][:, None]
+    ctx = build_context(n3)
+    np.testing.assert_array_equal(ctx.tube_map, M)
+    np.testing.assert_array_equal(ctx.tube_map_inv, np.linalg.inv(M))
+
+
 def test_context_at_n3_one_is_identity():
     ctx = build_context(1)
     np.testing.assert_array_equal(ctx.tube_map, [[1.0]])
