@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ShapeMismatch
-from .kernels import common_rank, full_rank_matrix, qdr_matrix, qr_matrix, schur_matrix, svd_matrix
+from .kernels import full_rank_matrix, hs_matrix, qdr_matrix, qr_matrix, schur_matrix, svd_matrix
 from .product import conj_transpose, cprod
-from .tensor import BlockPartition2x2, Tensor3, block_compose
+from .tensor import Tensor3
 from .transform import TransformContext, tensor_from_transform_slices, transform_slices
 
 __all__ = [
@@ -93,13 +95,6 @@ class CQdr:
         return cprod(cprod(self.Q, self.D, ctx), self.R, ctx)
 
 
-def _stack_2x2(a11: Tensor3, a12: Tensor3, a21: Tensor3, a22: Tensor3) -> Tensor3:
-    """Block-compose that also accepts zero-width blocks."""
-    return block_compose(
-        BlockPartition2x2(split=(a11.n1, a11.n2), a11=a11, a12=a12, a21=a21, a22=a22)
-    )
-
-
 @dataclass(frozen=True)
 class CHs:
     """A = U *c [[Sr*cK, Sr*cL], [O, O]] *c U^H.
@@ -115,20 +110,10 @@ class CHs:
     Lblk: Tensor3
     r: int
 
-    def middle(self, ctx: TransformContext) -> Tensor3:
-        n = self.U.n1
-        r = self.r
-        n3 = self.U.n3
-        return _stack_2x2(
-            cprod(self.Sr, self.K, ctx),
-            cprod(self.Sr, self.Lblk, ctx),
-            Tensor3.zeros(n - r, r, n3),
-            Tensor3.zeros(n - r, n - r, n3),
-        )
-
     def reconstruct(self, ctx: TransformContext) -> Tensor3:
-        uh = conj_transpose(self.U, ctx)
-        return cprod(cprod(self.U, self.middle(ctx), ctx), uh, ctx)
+        top = cprod(self.Sr, Tensor3(np.concatenate([self.K.slices, self.Lblk.slices], axis=2)), ctx)
+        mid = Tensor3(np.pad(top.slices, ((0, 0), (0, self.U.n1 - self.r), (0, 0))))
+        return cprod(cprod(self.U, mid, ctx), conj_transpose(self.U, ctx), ctx)
 
 
 def _tensors(ctx: TransformContext, *stacks) -> list[Tensor3]:
@@ -176,19 +161,5 @@ def c_hs(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> CHs:
     """
     if A.n1 != A.n2:
         raise ShapeMismatch(f"dims {A.dims} are not square")
-    d = svd_matrix(transform_slices(A, ctx))
-    r = common_rank(d.rank(tol))
-    U, S, V = _tensors(ctx, d.U, d.sigma(), d.V)
-    # Sub-blocks in storage match sub-blocks of every transform slice because
-    # the transform acts along tubes only.  W goes through storage on
-    # purpose: the roundoff of K feeds the index decisions of the HS Drazin
-    # route under the default cutoff, and forming W in the transform domain
-    # changes which inputs that route misjudges.
-    W = cprod(conj_transpose(V, ctx), U, ctx)
-    return CHs(
-        U=U,
-        Sr=Tensor3(S.slices[:, :r, :r]),
-        K=Tensor3(W.slices[:, :r, :r]),
-        Lblk=Tensor3(W.slices[:, :r, r:]),
-        r=r,
-    )
+    f = hs_matrix(transform_slices(A, ctx), tol)
+    return CHs(*_tensors(ctx, f.U, f.Sr, f.K, f.L), r=f.r)

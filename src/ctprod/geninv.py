@@ -5,6 +5,13 @@ along another tensor.  Every inverse is computable by several independent
 routes (selected with the method enums); all routes agree to rounding error
 on valid inputs, which the residual dictionaries returned alongside each
 result make easy to confirm.
+
+Every route is a function of transform-slice stacks: the public functions
+transform each operand once, compose the stacked kernels of
+:mod:`ctprod.kernels` with ``@`` on those stacks, and transform the result
+back once.  Intermediate results never pass through storage, where roundoff
+from large slices would leak into small ones and sway the rank and index
+decisions made on them.
 """
 
 from __future__ import annotations
@@ -14,19 +21,23 @@ from enum import Enum
 
 import numpy as np
 
-from .decompositions import _stack_2x2, c_full_rank, c_hs, c_qdr, c_qr, c_schur, c_svd
 from .errors import IndexTooLarge, NotInvertibleAlong, ShapeMismatch
 from .kernels import (
     MatrixSvd,
     core_nilpotent_matrix,
     drazin_matrix,
+    full_rank_matrix,
+    hs_matrix,
     index_matrix,
+    inverse_matrix,
     leading_block_inverse,
     numerical_rank,
     pinv_matrix,
+    qdr_matrix,
+    qr_matrix,
+    schur_matrix,
     svd_matrix,
 )
-from .product import conj_transpose, cprod, tensor_inverse, tensor_power
 from .tensor import Tensor3
 from .transform import TransformContext, tensor_from_transform_slices, transform_slices
 
@@ -96,59 +107,50 @@ class CoreNilpotentParts:
     k: int
 
 
-def _pinv_slicewise(A: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    return tensor_from_transform_slices(pinv_matrix(transform_slices(A, ctx), tol), ctx)
+def _adj(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
 
 
-def _mp_via_svd(A: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    d = c_svd(A, ctx)
-    sdag = _pinv_slicewise(d.S, ctx, tol)
-    return cprod(cprod(d.V, sdag, ctx), conj_transpose(d.U, ctx), ctx)
+def _outer_inverse(ah: np.ndarray, y: np.ndarray, z: np.ndarray, tol: float | None) -> np.ndarray:
+    """Y (Z A Y)^-1 Z per slice: the inverse of A with the range of Y and the
+    null space of Z."""
+    return y @ inverse_matrix(z @ ah @ y, tol) @ z
 
 
-def _mp_via_qr(A: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    f = c_qr(A, ctx)
-    rdag = _pinv_slicewise(f.R, ctx, tol)
-    return cprod(rdag, conj_transpose(f.Q, ctx), ctx)
+def _mp_via_svd(ah: np.ndarray, tol: float | None) -> np.ndarray:
+    d = svd_matrix(ah)
+    return d.V @ pinv_matrix(d.sigma(), tol) @ _adj(d.U)
 
 
-def _mp_via_schur(A: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    f = c_schur(A, ctx)
-    qh = conj_transpose(f.Q, ctx)
-    tdag = _pinv_slicewise(f.T, ctx, tol)
-    return cprod(cprod(qh, tdag, ctx), f.Q, ctx)
+def _mp_via_qr(ah: np.ndarray, tol: float | None) -> np.ndarray:
+    f = qr_matrix(ah)
+    return pinv_matrix(f.R, tol) @ _adj(f.Q)
 
 
-def _mp_via_full_rank(A: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    f = c_full_rank(A, ctx, tol)
-    mh = conj_transpose(f.Mfac, ctx)
-    nh = conj_transpose(f.Nfac, ctx)
-    inner = cprod(cprod(mh, A, ctx), nh, ctx)
-    return cprod(cprod(nh, tensor_inverse(inner, ctx, tol), ctx), mh, ctx)
+def _mp_via_schur(ah: np.ndarray, tol: float | None) -> np.ndarray:
+    f = schur_matrix(ah)
+    return _adj(f.Q) @ pinv_matrix(f.T, tol) @ f.Q
 
 
-def _mp_via_qdr(A: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    f = c_qdr(conj_transpose(A, ctx), ctx, tol)
-    inner = cprod(cprod(f.R, A, ctx), f.Q, ctx)
-    return cprod(cprod(f.Q, tensor_inverse(inner, ctx, tol), ctx), f.R, ctx)
+def _mp_via_full_rank(ah: np.ndarray, tol: float | None) -> np.ndarray:
+    f = full_rank_matrix(ah, tol)
+    return _outer_inverse(ah, _adj(f.N), _adj(f.M), tol)
 
 
-def _mp_via_hs(A: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    f = c_hs(A, ctx, tol)
-    n, r, n3 = A.n1, f.r, A.n3
-    sr_inv = tensor_inverse(f.Sr, ctx, tol)
-    mid = _stack_2x2(
-        cprod(conj_transpose(f.K, ctx), sr_inv, ctx),
-        Tensor3.zeros(r, n - r, n3),
-        cprod(conj_transpose(f.Lblk, ctx), sr_inv, ctx),
-        Tensor3.zeros(n - r, n - r, n3),
-    )
-    uh = conj_transpose(f.U, ctx)
-    return cprod(cprod(f.U, mid, ctx), uh, ctx)
+def _mp_via_qdr(ah: np.ndarray, tol: float | None) -> np.ndarray:
+    f = qdr_matrix(_adj(ah), tol)
+    return _outer_inverse(ah, f.Q, f.R, tol)
+
+
+def _mp_via_hs(ah: np.ndarray, tol: float | None) -> np.ndarray:
+    f = hs_matrix(ah, tol)
+    kl = np.concatenate([f.K, f.L], axis=-1)
+    return f.U @ _adj(kl) @ inverse_matrix(f.Sr, tol) @ _adj(f.U[..., : f.r])
 
 
 _MP_ROUTES = {
-    MpMethod.SLICEWISE: _pinv_slicewise,
+    MpMethod.SLICEWISE: pinv_matrix,
     MpMethod.SVD: _mp_via_svd,
     MpMethod.QR: _mp_via_qr,
     MpMethod.SCHUR: _mp_via_schur,
@@ -170,7 +172,7 @@ def mp_inverse(
     Penrose identities (see :func:`check_penrose`).
     """
     method = MpMethod(method)
-    X = _MP_ROUTES[method](A, ctx, tol)
+    X = tensor_from_transform_slices(_MP_ROUTES[method](transform_slices(A, ctx), tol), ctx)
     return GenInvResult(X=X, residuals=check_penrose(A, X, ctx))
 
 
@@ -181,41 +183,25 @@ def tensor_index(A: Tensor3, ctx: TransformContext, tol: float | None = None) ->
     return int(index_matrix(transform_slices(A, ctx), tol).max())
 
 
-def _drazin_via_power(A: Tensor3, ctx: TransformContext, k: int, tol: float | None) -> Tensor3:
-    # Evaluated slice by slice in the transform domain: mapping the
-    # intermediate powers back to the storage domain would contaminate
-    # small slices with roundoff from large ones, and the pseudoinverse
-    # of A^(2k+1) is exquisitely sensitive to that noise.
-    ah = transform_slices(A, ctx)
+def _drazin_via_power(ah: np.ndarray, k: int, tol: float | None) -> np.ndarray:
     akh = np.linalg.matrix_power(ah, k)
-    mid = pinv_matrix(np.linalg.matrix_power(ah, 2 * k + 1), tol)
-    return tensor_from_transform_slices(akh @ mid @ akh, ctx)
+    return akh @ pinv_matrix(np.linalg.matrix_power(ah, 2 * k + 1), tol) @ akh
 
 
-def _drazin_via_qdr(A: Tensor3, ctx: TransformContext, k: int, tol: float | None) -> Tensor3:
-    f = c_qdr(tensor_power(A, max(k, 1), ctx), ctx, tol)
-    inner = cprod(cprod(f.R, A, ctx), f.Q, ctx)
-    return cprod(cprod(f.Q, tensor_inverse(inner, ctx, tol), ctx), f.R, ctx)
+def _drazin_via_qdr(ah: np.ndarray, k: int, tol: float | None) -> np.ndarray:
+    f = qdr_matrix(np.linalg.matrix_power(ah, max(k, 1)), tol)
+    return _outer_inverse(ah, f.Q, f.R, tol)
 
 
-def _drazin_via_core_nilpotent(A: Tensor3, ctx: TransformContext, k: int, tol: float | None) -> Tensor3:
-    f = core_nilpotent_matrix(transform_slices(A, ctx), tol)
-    return tensor_from_transform_slices(f.P @ leading_block_inverse(f.F, f.r) @ np.linalg.inv(f.P), ctx)
+def _drazin_via_core_nilpotent(ah: np.ndarray, k: int, tol: float | None) -> np.ndarray:
+    f = core_nilpotent_matrix(ah, tol)
+    return f.P @ leading_block_inverse(f.F, f.r) @ np.linalg.inv(f.P)
 
 
-def _drazin_via_hs(A: Tensor3, ctx: TransformContext, k: int, tol: float | None) -> Tensor3:
-    f = c_hs(A, ctx, tol)
-    n, r, n3 = A.n1, f.r, A.n3
-    srk = cprod(f.Sr, f.K, ctx)
-    gd = tensor_from_transform_slices(drazin_matrix(transform_slices(srk, ctx), tol), ctx)
-    mid = _stack_2x2(
-        gd,
-        cprod(cprod(cprod(gd, gd, ctx), f.Sr, ctx), f.Lblk, ctx),
-        Tensor3.zeros(n - r, r, n3),
-        Tensor3.zeros(n - r, n - r, n3),
-    )
-    uh = conj_transpose(f.U, ctx)
-    return cprod(cprod(f.U, mid, ctx), uh, ctx)
+def _drazin_via_hs(ah: np.ndarray, k: int, tol: float | None) -> np.ndarray:
+    f = hs_matrix(ah, tol)
+    gd = drazin_matrix(f.Sr @ f.K, tol)
+    return f.U[..., : f.r] @ np.concatenate([gd, gd @ gd @ f.Sr @ f.L], axis=-1) @ _adj(f.U)
 
 
 _DRAZIN_ROUTES = {
@@ -239,17 +225,19 @@ def drazin_inverse(
     :func:`check_drazin`).
     """
     method = DrazinMethod(method)
-    k = tensor_index(A, ctx, tol)
-    X = _DRAZIN_ROUTES[method](A, ctx, k, tol)
+    ah = transform_slices(A, ctx)
+    k = int(index_matrix(ah, tol).max())
+    X = tensor_from_transform_slices(_DRAZIN_ROUTES[method](ah, k, tol), ctx)
     return GenInvResult(X=X, residuals=check_drazin(A, X, k, ctx), k=k)
 
 
 def group_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> GenInvResult:
     """Group inverse of a square tensor; requires tensor index <= 1."""
-    k = tensor_index(A, ctx, tol)
+    ah = transform_slices(A, ctx)
+    k = int(index_matrix(ah, tol).max())
     if k > 1:
         raise IndexTooLarge(k)
-    X = _drazin_via_power(A, ctx, 1, tol)
+    X = tensor_from_transform_slices(_drazin_via_power(ah, 1, tol), ctx)
     return GenInvResult(X=X, residuals=check_drazin(A, X, 1, ctx), k=k)
 
 
@@ -261,9 +249,10 @@ def core_nilpotent_parts(
     coreC = A^2 *c A^D and nilN = A - coreC, with nilN^k = O for k the
     tensor index of A.
     """
-    res = drazin_inverse(A, ctx, tol=tol)
-    coreC = cprod(cprod(A, A, ctx), res.X, ctx)
-    return CoreNilpotentParts(coreC=coreC, nilN=A - coreC, k=res.k)
+    ah = transform_slices(A, ctx)
+    k = int(index_matrix(ah, tol).max())
+    coreC = tensor_from_transform_slices(ah @ ah @ _drazin_via_power(ah, k, tol), ctx)
+    return CoreNilpotentParts(coreC=coreC, nilN=A - coreC, k=k)
 
 
 def _along_existence(
@@ -274,7 +263,7 @@ def _along_existence(
     block of V^H A-hat U is singular (the inverse along G then does not exist)."""
     d = svd_matrix(gh)
     r = d.rank(tol)
-    y = d.V.conj().swapaxes(1, 2) @ ah @ d.U
+    y = _adj(d.V) @ ah @ d.U
     singular = []
     for rv in np.unique(r):
         at = np.flatnonzero(r == rv)
@@ -284,24 +273,21 @@ def _along_existence(
     return d, r, y
 
 
-def _along_via_svd(A: Tensor3, G: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    d, r, y = _along_existence(transform_slices(A, ctx), transform_slices(G, ctx), tol)
+def _along_via_svd(ah: np.ndarray, gh: np.ndarray, tol: float | None) -> np.ndarray:
+    d, r, y = _along_existence(ah, gh, tol)
     k = min(y.shape[1:])
-    xh = d.U[:, :, :k] @ leading_block_inverse(y[:, :k, :k], r) @ d.V[:, :, :k].conj().swapaxes(1, 2)
-    return tensor_from_transform_slices(xh, ctx)
+    return d.U[:, :, :k] @ leading_block_inverse(y[:, :k, :k], r) @ _adj(d.V[:, :, :k])
 
 
-def _along_via_gag(A: Tensor3, G: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    _along_existence(transform_slices(A, ctx), transform_slices(G, ctx), tol)
-    inner = cprod(cprod(G, A, ctx), G, ctx)
-    return cprod(cprod(G, _pinv_slicewise(inner, ctx, tol), ctx), G, ctx)
+def _along_via_gag(ah: np.ndarray, gh: np.ndarray, tol: float | None) -> np.ndarray:
+    _along_existence(ah, gh, tol)
+    return gh @ pinv_matrix(gh @ ah @ gh, tol) @ gh
 
 
-def _along_via_full_rank(A: Tensor3, G: Tensor3, ctx: TransformContext, tol: float | None) -> Tensor3:
-    _along_existence(transform_slices(A, ctx), transform_slices(G, ctx), tol)
-    f = c_full_rank(G, ctx, tol)
-    inner = cprod(cprod(f.Nfac, A, ctx), f.Mfac, ctx)
-    return cprod(cprod(f.Mfac, tensor_inverse(inner, ctx, tol), ctx), f.Nfac, ctx)
+def _along_via_full_rank(ah: np.ndarray, gh: np.ndarray, tol: float | None) -> np.ndarray:
+    _along_existence(ah, gh, tol)
+    f = full_rank_matrix(gh, tol)
+    return _outer_inverse(ah, f.M, f.N, tol)
 
 
 _ALONG_ROUTES = {
@@ -325,11 +311,16 @@ def inverse_along(
     space matching G's.  Existence is checked up front for every method;
     failures raise NotInvertibleAlong with the offending slice.
     """
-    if A.n1 != G.n2 or A.n2 != G.n1 or A.n3 != G.n3:
-        raise ShapeMismatch(f"dims {A.dims} and {G.dims} are not compatible")
+    _require_dims(G, (A.n2, A.n1, A.n3), "G")
     method = AlongMethod(method)
-    X = _ALONG_ROUTES[method](A, G, ctx, tol)
+    xh = _ALONG_ROUTES[method](transform_slices(A, ctx), transform_slices(G, ctx), tol)
+    X = tensor_from_transform_slices(xh, ctx)
     return GenInvResult(X=X, residuals=check_along(A, G, X, ctx))
+
+
+def _require_dims(T: Tensor3, dims: tuple[int, int, int], name: str) -> None:
+    if T.dims != dims:
+        raise ShapeMismatch(f"{name} has dims {T.dims}, expected {dims}")
 
 
 def _storage_max_abs(dh: np.ndarray, ctx: TransformContext) -> float:
@@ -344,6 +335,7 @@ def check_penrose(A: Tensor3, X: Tensor3, ctx: TransformContext) -> dict[str, fl
     Each residual is formed in the transform domain and mapped back to
     storage once, so it is the max-abs entry of, e.g., A *c X *c A - A.
     """
+    _require_dims(X, (A.n2, A.n1, A.n3), "X")
     ah = transform_slices(A, ctx)
     xh = transform_slices(X, ctx)
     axh = ah @ xh
@@ -351,13 +343,15 @@ def check_penrose(A: Tensor3, X: Tensor3, ctx: TransformContext) -> dict[str, fl
     return {
         "axa": _storage_max_abs(axh @ ah - ah, ctx),
         "xax": _storage_max_abs(xah @ xh - xh, ctx),
-        "ax_hermitian": _storage_max_abs(axh - axh.conj().swapaxes(1, 2), ctx),
-        "xa_hermitian": _storage_max_abs(xah - xah.conj().swapaxes(1, 2), ctx),
+        "ax_hermitian": _storage_max_abs(axh - _adj(axh), ctx),
+        "xa_hermitian": _storage_max_abs(xah - _adj(xah), ctx),
     }
 
 
 def check_drazin(A: Tensor3, X: Tensor3, k: int, ctx: TransformContext) -> dict[str, float]:
     """Maximum entrywise residuals of the Drazin identities at index k."""
+    _require_dims(A, (A.n1, A.n1, A.n3), "A")
+    _require_dims(X, A.dims, "X")
     ah = transform_slices(A, ctx)
     xh = transform_slices(X, ctx)
     akh = np.linalg.matrix_power(ah, k)
@@ -377,6 +371,8 @@ def check_along(A: Tensor3, G: Tensor3, X: Tensor3, ctx: TransformContext) -> di
     witnesses U = G^+ *c X and V = X *c G^+); both vanish exactly when X's
     range and null space match G's.
     """
+    _require_dims(G, (A.n2, A.n1, A.n3), "G")
+    _require_dims(X, G.dims, "X")
     ah = transform_slices(A, ctx)
     gh = transform_slices(G, ctx)
     xh = transform_slices(X, ctx)

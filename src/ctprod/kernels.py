@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonConvergence, RankMismatch, ShapeMismatch
+from .errors import NonConvergence, RankMismatch, ShapeMismatch, SingularSlice
 
 __all__ = [
     "EPS",
@@ -25,14 +25,17 @@ __all__ = [
     "MatrixFullRank",
     "MatrixQdr",
     "MatrixCoreNilpotent",
+    "MatrixHs",
     "svd_matrix",
     "numerical_rank",
     "pinv_matrix",
+    "inverse_matrix",
     "qr_matrix",
     "qr_pivoted",
     "schur_matrix",
     "full_rank_matrix",
     "qdr_matrix",
+    "hs_matrix",
     "index_matrix",
     "drazin_matrix",
     "core_nilpotent_matrix",
@@ -140,6 +143,19 @@ class MatrixQdr:
 
 
 @dataclass(frozen=True)
+class MatrixHs:
+    """A = U @ [[Sr @ K, Sr @ L], [0, 0]] @ U^H with U unitary, Sr (..., r, r)
+    the invertible diagonal of the leading singular values, and [K L]
+    (..., r, n) the leading r rows of V^H U."""
+
+    U: np.ndarray
+    Sr: np.ndarray
+    K: np.ndarray
+    L: np.ndarray
+    r: int
+
+
+@dataclass(frozen=True)
 class MatrixCoreNilpotent:
     """A = P @ F @ P^-1 with F = blkdiag(C, N), C (r x r) invertible and N nilpotent.
 
@@ -209,6 +225,17 @@ def pinv_matrix(A, tol: float | None = None) -> np.ndarray:
     return (Vh.conj().swapaxes(-1, -2) * inv[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
+def inverse_matrix(A, tol: float | None = None) -> np.ndarray:
+    """Inverse of every square matrix of a stack; raises SingularSlice with the
+    flat index of the first matrix whose numerical rank is short of full."""
+    A = _as_stack(A)
+    _require_square(A)
+    singular = np.flatnonzero(numerical_rank(A, tol) < A.shape[-1])
+    if singular.size:
+        raise SingularSlice(int(singular[0]))
+    return np.linalg.inv(A)
+
+
 def qr_matrix(A) -> MatrixQr:
     """Householder QR with a complete (square) Q."""
     Q, R = np.linalg.qr(_as_stack(A), mode="complete")
@@ -266,6 +293,17 @@ def qdr_matrix(A, tol: float | None = None) -> MatrixQdr:
     D = np.zeros(d.shape + (r,), dtype=np.complex128)
     D[..., np.arange(r), np.arange(r)] = d
     return MatrixQdr(Q=f.Q[..., :r], D=D, R=R, r=r)
+
+
+def hs_matrix(A, tol: float | None = None) -> MatrixHs:
+    """HS factors from one SVD A = U S V^H = U S (V^H U) U^H, cut at the rank r
+    of that SVD; a stack whose matrices differ in rank raises RankMismatch."""
+    A = _as_stack(A)
+    _require_square(A)
+    d = svd_matrix(A)
+    r = common_rank(d.rank(tol))
+    w = d.V[..., :r].conj().swapaxes(-1, -2) @ d.U
+    return MatrixHs(U=d.U, Sr=d.sigma()[..., :r, :r], K=w[..., :r], L=w[..., r:], r=r)
 
 
 def index_matrix(A, tol: float | None = None) -> int | np.ndarray:

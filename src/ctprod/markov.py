@@ -230,7 +230,7 @@ def is_regular(P: TransitionTensor | Tensor3, ctx: TransformContext, max_power: 
     limit = max_power if max_power is not None else max(Pt.n1 * Pt.n1, 1)
     powh = np.array(ph)
     for _ in range(limit):
-        if all((p.real > 1e-12).all() and (np.abs(p.imag) < 1e-10).all() for p in powh):
+        if (powh.real > 1e-12).all() and (np.abs(powh.imag) < 1e-10).all():
             return True
         powh = powh @ ph
     return False

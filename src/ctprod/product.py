@@ -12,8 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularSlice
-from .kernels import numerical_rank
+from .errors import ShapeMismatch
+from .kernels import inverse_matrix
 from .tensor import Tensor3, max_abs_diff
 from .transform import TransformContext, tensor_from_transform_slices, transform_slices
 
@@ -126,12 +126,7 @@ def tensor_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) 
     Raises :class:`SingularSlice` with the offending slice index when a
     transform slice is numerically rank deficient.
     """
-    _require_square(A)
-    ah = transform_slices(A, ctx)
-    singular = np.flatnonzero(numerical_rank(ah, tol) < A.n1)
-    if singular.size:
-        raise SingularSlice(int(singular[0]))
-    return tensor_from_transform_slices(np.linalg.inv(ah), ctx)
+    return tensor_from_transform_slices(inverse_matrix(transform_slices(A, ctx), tol), ctx)
 
 
 def tensor_power(A: Tensor3, k: int, ctx: TransformContext) -> Tensor3:

@@ -190,6 +190,14 @@ def test_check_mp(square, tmp_path, capsys):
     assert all(float(v) < 1e-10 for v in lines.values())
 
 
+@pytest.mark.parametrize("relation,count", [("mp", 2), ("drazin", 2), ("along", 3)])
+def test_check_shape_mismatch_is_domain_error(tmp_path, capsys, relation, count):
+    path = write(tmp_path, "a.ct", random_tensor(np.random.default_rng(5), 3, 5, 4))
+    code, out, err = run(capsys, "check", *[path] * count, "--relation", relation)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_check_along_needs_three_files(square, capsys):
     _, path = square
     code, _, err = run(capsys, "check", path, path, "--relation", "along")

@@ -19,6 +19,7 @@ from ctprod import (
     check_drazin,
     check_penrose,
     conj_transpose,
+    core_nilpotent_parts,
     cprod,
     drazin_inverse,
     group_inverse,
@@ -308,9 +309,18 @@ def test_transform_counts(monkeypatch):
     A = random_tensor(rng, 3, 3, 4, complex_=True)
     G = random_tensor(rng, 3, 3, 4, complex_=True)
     X = random_tensor(rng, 3, 3, 4, complex_=True)
+    D = index_two_tensor(rng, 4, ctx)
     counts = count_transforms(monkeypatch)
-    mp_inverse(A, ctx)
-    assert counts["fwd"] <= 3 and counts["inv"] <= 5
+    # Every route transforms each operand once and its result back once;
+    # the rest are the residual checks counted below (2/4, 2/3 and 3/4).
+    routes = [(f"mp:{m.value}", lambda m=m: mp_inverse(A, ctx, m), 3, 5) for m in MpMethod]
+    routes += [(f"drazin:{m.value}", lambda m=m: drazin_inverse(D, ctx, m), 3, 4) for m in DrazinMethod]
+    routes += [(f"along:{m.value}", lambda m=m: inverse_along(A, G, ctx, m), 5, 5) for m in AlongMethod]
+    routes += [("group", lambda: group_inverse(A, ctx), 3, 4), ("corenil", lambda: core_nilpotent_parts(D, ctx), 1, 1)]
+    for label, call, fwd, inv in routes:
+        counts.clear()
+        call()
+        assert counts["fwd"] <= fwd and counts["inv"] <= inv, (label, dict(counts))
     for check, args, fwd, inv in [
         (check_penrose, (A, X), 2, 4),
         (check_drazin, (A, X, 2), 2, 3),
@@ -319,6 +329,56 @@ def test_transform_counts(monkeypatch):
         counts.clear()
         check(*args, ctx)
         assert (counts["fwd"], counts["inv"]) == (fwd, inv), check.__name__
+
+
+def schur_index_two_tensor(rng, n: int, ctx):
+    """Every transform slice is Q blkdiag(T, N) Q^H with Q unitary, T upper
+    triangular with eigenvalues of modulus in [1, 2] and N the 2 x 2 upshift,
+    so the tensor index is exactly 2 (the benchmark's index-2 input)."""
+    m = n - 2
+    hats = []
+    for _ in range(ctx.n3):
+        t = np.triu(0.3 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))), 1)
+        t += np.diag(rng.uniform(1.0, 2.0, m) * np.exp(2j * np.pi * rng.uniform(size=m)))
+        blk = np.zeros((n, n), complex)
+        blk[:m, :m] = t
+        blk[m, m + 1] = 1.0
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        hats.append(q @ blk @ q.conj().T)
+    return tensor_from_transform_slices(np.stack(hats), ctx)
+
+
+def test_drazin_hs_at_the_default_cutoff():
+    # At seed 5 the HS route used to form V^H *c U through storage; its
+    # roundoff tipped the index decisions at the default cutoff, and the
+    # route returned X with entries of about 1e28 and residuals of about
+    # 1e40 (a scaled forward error of about 5e26).
+    ctx = build_context(32)
+    D = schur_index_two_tensor(np.random.default_rng(5), 8, ctx)
+    res = drazin_inverse(D, ctx, DrazinMethod.HS)
+    assert res.k == 2
+    assert max(res.residuals.values()) < 1e-10
+    assert max_abs_diff(res.X, drazin_inverse(D, ctx).X) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "check,dims",
+    [
+        (check_penrose, [(3, 5, 4), (3, 5, 4)]),
+        (check_drazin, [(3, 5, 4), (5, 3, 4)]),
+        (check_drazin, [(3, 3, 4), (3, 4, 4)]),
+        (check_along, [(3, 5, 4), (3, 5, 4), (3, 5, 4)]),
+        (check_along, [(3, 5, 4), (5, 3, 4), (3, 5, 4)]),
+    ],
+)
+def test_checks_reject_mismatched_operands(check, dims):
+    ctx = build_context(4)
+    args = [Tensor3(np.ones((n3, n1, n2))) for n1, n2, n3 in dims]
+    if check is check_drazin:
+        args.append(1)
+    with pytest.raises(ShapeMismatch):
+        check(*args, ctx)
 
 
 def _oracle_max_abs(E, dims) -> float:

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctprod.errors import RankMismatch, ShapeMismatch
+from ctprod.errors import RankMismatch, ShapeMismatch, SingularSlice
 from ctprod.kernels import (
     core_nilpotent_matrix,
     default_rank_tol,
     drazin_matrix,
     full_rank_matrix,
+    hs_matrix,
     index_matrix,
+    inverse_matrix,
     leading_block_inverse,
     numerical_rank,
     pinv_matrix,
@@ -295,3 +297,26 @@ def test_leading_block_inverse_matches_each_block():
         want = np.zeros((4, 4), dtype=complex)
         want[:r, :r] = np.linalg.inv(a[:r, :r])
         np.testing.assert_allclose(g, want, atol=1e-13)
+
+
+def test_hs_and_inverse_of_a_stack_match_each_matrix():
+    rng = np.random.default_rng(13)
+    stack = np.stack([rank_deficient(rng, 4, 4, 2) for _ in range(3)])
+    f = hs_matrix(stack)
+    assert f.r == 2
+    for i, a in enumerate(stack):
+        fi = hs_matrix(a)
+        for got, want in ((f.U[i], fi.U), (f.Sr[i], fi.Sr), (f.K[i], fi.K), (f.L[i], fi.L)):
+            np.testing.assert_array_equal(got, want)
+        top = fi.Sr @ np.concatenate([fi.K, fi.L], axis=-1)
+        np.testing.assert_allclose(fi.U[:, :2] @ top @ fi.U.conj().T, a, atol=1e-12)
+    with pytest.raises(RankMismatch) as err:
+        hs_matrix(np.concatenate([stack, np.zeros((1, 4, 4))]))
+    assert err.value.ranks == [2, 2, 2, 0]
+    invertible = np.stack([random_matrix(rng, 4, 4) + 3 * np.eye(4) for _ in range(3)])
+    inv = inverse_matrix(invertible)
+    np.testing.assert_array_equal(inv, np.stack([inverse_matrix(a) for a in invertible]))
+    np.testing.assert_allclose(inv @ invertible, np.broadcast_to(np.eye(4), inv.shape), atol=1e-12)
+    with pytest.raises(SingularSlice) as err:
+        inverse_matrix(np.concatenate([invertible, stack, invertible, stack]))
+    assert err.value.slice_index == 3
