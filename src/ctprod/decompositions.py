@@ -2,6 +2,8 @@
 
 Each decomposition factors the transform slices independently with the matrix
 kernels and maps the assembled factors back through the inverse transform.
+``reconstruct`` transforms each stored factor once, multiplies the stacks
+and maps the product back once.
 The three rank-conditional decompositions (full-rank, QDR, HS) require every
 transform slice to have the same numerical rank and raise
 :class:`~ctprod.errors.RankMismatch` (carrying the per-slice ranks) otherwise.
@@ -14,8 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .kernels import full_rank_matrix, hs_matrix, qdr_matrix, qr_matrix, schur_matrix, svd_matrix
-from .product import conj_transpose, cprod
+from .kernels import (
+    _adj,
+    full_rank_matrix,
+    hs_matrix,
+    qdr_matrix,
+    qr_matrix,
+    schur_matrix,
+    svd_matrix,
+)
 from .tensor import Tensor3
 from .transform import TransformContext, tensor_from_transform_slices, transform_slices
 
@@ -44,7 +53,8 @@ class CSvd:
     V: Tensor3
 
     def reconstruct(self, ctx: TransformContext) -> Tensor3:
-        return cprod(cprod(self.U, self.S, ctx), conj_transpose(self.V, ctx), ctx)
+        u, s, v = _hats(ctx, self.U, self.S, self.V)
+        return tensor_from_transform_slices(u @ s @ _adj(v), ctx)
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,8 @@ class CQr:
     R: Tensor3
 
     def reconstruct(self, ctx: TransformContext) -> Tensor3:
-        return cprod(self.Q, self.R, ctx)
+        q, r = _hats(ctx, self.Q, self.R)
+        return tensor_from_transform_slices(q @ r, ctx)
 
 
 @dataclass(frozen=True)
@@ -66,8 +77,8 @@ class CSchur:
     T: Tensor3
 
     def reconstruct(self, ctx: TransformContext) -> Tensor3:
-        qh = conj_transpose(self.Q, ctx)
-        return cprod(cprod(qh, self.T, ctx), self.Q, ctx)
+        q, t = _hats(ctx, self.Q, self.T)
+        return tensor_from_transform_slices(_adj(q) @ t @ q, ctx)
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,8 @@ class CFullRank:
     r: int
 
     def reconstruct(self, ctx: TransformContext) -> Tensor3:
-        return cprod(self.Mfac, self.Nfac, ctx)
+        m, n = _hats(ctx, self.Mfac, self.Nfac)
+        return tensor_from_transform_slices(m @ n, ctx)
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,8 @@ class CQdr:
     r: int
 
     def reconstruct(self, ctx: TransformContext) -> Tensor3:
-        return cprod(cprod(self.Q, self.D, ctx), self.R, ctx)
+        q, d, r = _hats(ctx, self.Q, self.D, self.R)
+        return tensor_from_transform_slices(q @ d @ r, ctx)
 
 
 @dataclass(frozen=True)
@@ -111,9 +124,15 @@ class CHs:
     r: int
 
     def reconstruct(self, ctx: TransformContext) -> Tensor3:
-        top = cprod(self.Sr, Tensor3(np.concatenate([self.K.slices, self.Lblk.slices], axis=2)), ctx)
-        mid = Tensor3(np.pad(top.slices, ((0, 0), (0, self.U.n1 - self.r), (0, 0))))
-        return cprod(cprod(self.U, mid, ctx), conj_transpose(self.U, ctx), ctx)
+        u, sr, k, lblk = _hats(ctx, self.U, self.Sr, self.K, self.Lblk)
+        top = sr @ np.concatenate([k, lblk], axis=2)
+        mid = np.pad(top, ((0, 0), (0, self.U.n1 - self.r), (0, 0)))
+        return tensor_from_transform_slices(u @ mid @ _adj(u), ctx)
+
+
+def _hats(ctx: TransformContext, *tensors: Tensor3) -> list[np.ndarray]:
+    """The transform slices of each tensor."""
+    return [transform_slices(T, ctx) for T in tensors]
 
 
 def _tensors(ctx: TransformContext, *stacks) -> list[Tensor3]:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import IndexTooLarge, NotInvertibleAlong, ShapeMismatch
 from .kernels import (
     MatrixSvd,
+    _adj,
     core_nilpotent_matrix,
     drazin_matrix,
     full_rank_matrix,
@@ -105,11 +106,6 @@ class CoreNilpotentParts:
     coreC: Tensor3
     nilN: Tensor3
     k: int
-
-
-def _adj(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix of a stack."""
-    return x.conj().swapaxes(-1, -2)
 
 
 def _outer_inverse(ah: np.ndarray, y: np.ndarray, z: np.ndarray, tol: float | None) -> np.ndarray:
@@ -231,13 +227,19 @@ def drazin_inverse(
     return GenInvResult(X=X, residuals=check_drazin(A, X, k, ctx), k=k)
 
 
-def group_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> GenInvResult:
-    """Group inverse of a square tensor; requires tensor index <= 1."""
-    ah = transform_slices(A, ctx)
+def _group_slices(ah: np.ndarray, tol: float | None) -> tuple[np.ndarray, int]:
+    """Transform slices of the group inverse, and the index; raises
+    IndexTooLarge when the index exceeds 1."""
     k = int(index_matrix(ah, tol).max())
     if k > 1:
         raise IndexTooLarge(k)
-    X = tensor_from_transform_slices(_drazin_via_power(ah, 1, tol), ctx)
+    return _drazin_via_power(ah, 1, tol), k
+
+
+def group_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> GenInvResult:
+    """Group inverse of a square tensor; requires tensor index <= 1."""
+    xh, k = _group_slices(transform_slices(A, ctx), tol)
+    X = tensor_from_transform_slices(xh, ctx)
     return GenInvResult(X=X, residuals=check_drazin(A, X, 1, ctx), k=k)
 
 

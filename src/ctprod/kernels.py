@@ -46,6 +46,11 @@ __all__ = [
 EPS = 2.0**-52
 
 
+def _adj(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
 def _as_stack(A) -> np.ndarray:
     M = np.asarray(A, dtype=np.complex128)
     if M.ndim < 2:
@@ -184,7 +189,7 @@ def svd_matrix(A) -> MatrixSvd:
         U, s, Vh = np.linalg.svd(A, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-    return MatrixSvd(U=U, s=s, V=Vh.conj().swapaxes(-1, -2))
+    return MatrixSvd(U=U, s=s, V=_adj(Vh))
 
 
 def _singular_values(A: np.ndarray) -> np.ndarray:
@@ -222,7 +227,7 @@ def pinv_matrix(A, tol: float | None = None) -> np.ndarray:
     cut = default_rank_tol((m, n), s[..., :1]) if tol is None else tol
     keep = s > cut
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (Vh.conj().swapaxes(-1, -2) * inv[..., None, :]) @ U.conj().swapaxes(-1, -2)
+    return (_adj(Vh) * inv[..., None, :]) @ _adj(U)
 
 
 def inverse_matrix(A, tol: float | None = None) -> np.ndarray:
@@ -258,7 +263,7 @@ def schur_matrix(A) -> MatrixSchur:
         T, Z = scipy.linalg.schur(A, output="complex")
     except scipy.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-    return MatrixSchur(Q=Z.conj().swapaxes(-1, -2), T=T)
+    return MatrixSchur(Q=_adj(Z), T=T)
 
 
 def full_rank_matrix(A, tol: float | None = None) -> MatrixFullRank:
@@ -272,7 +277,7 @@ def full_rank_matrix(A, tol: float | None = None) -> MatrixFullRank:
     d = svd_matrix(A)
     r = common_rank(d.rank(tol))
     M = d.U[..., :r] * d.s[..., None, :r]
-    N = d.V[..., :r].conj().swapaxes(-1, -2)
+    N = _adj(d.V[..., :r])
     return MatrixFullRank(M=M, N=N, r=r)
 
 
@@ -302,7 +307,7 @@ def hs_matrix(A, tol: float | None = None) -> MatrixHs:
     _require_square(A)
     d = svd_matrix(A)
     r = common_rank(d.rank(tol))
-    w = d.V[..., :r].conj().swapaxes(-1, -2) @ d.U
+    w = _adj(d.V[..., :r]) @ d.U
     return MatrixHs(U=d.U, Sr=d.sigma()[..., :r, :r], K=w[..., :r], L=w[..., r:], r=r)
 
 

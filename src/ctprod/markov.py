@@ -15,11 +15,16 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidAlpha, NotStochastic, ShapeMismatch
-from .geninv import group_inverse
+from .geninv import _group_slices
 from .kernels import EPS
 from .product import cprod, identity_tensor
-from .tensor import Tensor3, max_abs_diff
-from .transform import TransformContext, tensor_from_transform_slices, transform_slices
+from .tensor import Tensor3
+from .transform import (
+    TransformContext,
+    _apply_tube_map,
+    tensor_from_transform_slices,
+    transform_slices,
+)
 
 __all__ = [
     "StochasticMode",
@@ -132,7 +137,7 @@ def transition_from_transform_slices(slices, ctx: TransformContext) -> Tensor3:
     """
     arr = np.asarray(slices, dtype=np.complex128)
     if arr.ndim != 3:
-        arr = np.stack([np.asarray(s, dtype=np.complex128) for s in slices])
+        raise ShapeMismatch(f"expected a stack of transform slices, got shape {arr.shape}")
     if arr.shape[1] != arr.shape[2]:
         raise ShapeMismatch(f"transform slices of shape {arr.shape[1:]} are not square")
     if arr.shape[0] != ctx.n3:
@@ -154,7 +159,8 @@ def ergodic_projector(
 ) -> Tensor3:
     """Ergodic projector E = I - (I - P) *c (I - P)^#.
 
-    E is idempotent under *c and satisfies P *c E = E *c P = E.
+    E is idempotent under *c and satisfies P *c E = E *c P = E.  Raises
+    IndexTooLarge when I - P has index above 1 (no group inverse).
     """
     Pt = _as_tensor(P)
     eye = identity_tensor(Pt.n1, ctx)
@@ -164,9 +170,9 @@ def ergodic_projector(
         # rank decisions inside the group inverse must not mistake the
         # leftover roundoff for signal; anchor the cutoff to P's magnitude
         # instead of each slice's own (possibly vanishing) norm.
-        scale = 1.0 + float(np.abs(transform_slices(Pt, ctx)).max())
+        scale = 1.0 + float(np.abs(transform_slices(Pt, ctx)).max(initial=0.0))
         tol = EPS**0.75 * scale
-    sharp = group_inverse(a, ctx, tol).X
+    sharp = tensor_from_transform_slices(_group_slices(transform_slices(a, ctx), tol)[0], ctx)
     return eye - cprod(a, sharp, ctx)
 
 
@@ -184,6 +190,11 @@ def limit_estimate(
     cesaro   averages (I + P + ... + P^(m-1)) / m,
     alpha    powers the damped chain (alpha I + (1 - alpha) P)^m,
     power    powers P directly (converges only for regular chains).
+
+    The estimates stay in the transform domain; each step's error is one
+    inverse tube map of the estimate, compared with E in storage.  M is
+    real, so a real chain has real transform slices and a real E, and then
+    the whole loop runs in float64.
     """
     kind = EstimatorKind(kind)
     if steps < 1:
@@ -193,15 +204,14 @@ def limit_estimate(
     Pt = _as_tensor(P)
     E = ergodic_projector(Pt, ctx, tol)
     ph = transform_slices(Pt, ctx)
-    n = Pt.n1
-    eyeh = np.broadcast_to(np.eye(n, dtype=np.complex128), ph.shape)
-    if kind is EstimatorKind.ALPHA:
-        base = alpha * eyeh + (1.0 - alpha) * ph
-    else:
-        base = ph
+    e = E.slices
+    if not ph.imag.any() and not e.imag.any():
+        ph, e = ph.real.copy(), e.real.copy()
+    eyeh = np.broadcast_to(np.eye(Pt.n1, dtype=ph.dtype), ph.shape)
+    base = alpha * eyeh + (1.0 - alpha) * ph if kind is EstimatorKind.ALPHA else ph
     powh = np.array(eyeh)  # base^0
     sumh = np.zeros_like(ph)
-    estimates = []
+    errors = []
     for m in range(1, steps + 1):
         if kind is EstimatorKind.CESARO:
             sumh += powh  # now holds I + P + ... + P^(m-1)
@@ -210,11 +220,10 @@ def limit_estimate(
         else:
             powh = powh @ base
             est_h = powh
-        est = tensor_from_transform_slices(est_h, ctx)
-        estimates.append((m, max_abs_diff(est, E)))
+        errors.append(float(np.abs(_apply_tube_map(ctx.tube_map_inv, est_h) - e).max(initial=0.0)))
     return ErgodicReport(
         E=E,
-        estimates=tuple(estimates),
+        estimates=tuple(enumerate(errors, start=1)),
         kind=kind,
         alpha=alpha if kind is EstimatorKind.ALPHA else None,
     )

@@ -77,9 +77,13 @@ def conj_transpose(A: Tensor3, ctx: TransformContext) -> Tensor3:
 
     Defined slicewise in the transform domain: slice i of the transform of
     the result is the conjugate transpose of slice i of the transform of A.
+    The tube map M is real and mixes only across slices, so it commutes
+    with conjugating and transposing each slice: the result is the
+    conjugate transpose of every storage slice, exact and with no transform.
     """
-    ah = transform_slices(A, ctx)
-    return tensor_from_transform_slices(ah.conj().transpose(0, 2, 1), ctx)
+    if A.n3 != ctx.n3:
+        raise ShapeMismatch(f"tensor n3={A.n3} does not match context n3={ctx.n3}")
+    return Tensor3(A.slices.conj().transpose(0, 2, 1))
 
 
 def structure_of(A: Tensor3, tol: float = 1e-12) -> StructureKind:

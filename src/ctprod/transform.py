@@ -98,13 +98,17 @@ def _check_n3(A: Tensor3, ctx: TransformContext) -> None:
 
 
 def _apply_tube_map(T: np.ndarray, slices: np.ndarray) -> np.ndarray:
-    """Apply the real n3 x n3 matrix T along axis 0 of a complex stack.
+    """Apply the real n3 x n3 matrix T along axis 0 of a stack.
 
-    The stack is viewed as float64 with real and imaginary parts interleaved
-    along the last axis; a real T acts on both alike, so one float64 GEMM
-    does the work with no complex copy of T.  Real data keeps imaginary
-    parts exactly zero.
+    A float64 stack gives a float64 result; anything else is taken as
+    complex128, viewed as float64 with real and imaginary parts interleaved
+    along the last axis.  A real T acts on both parts alike, so either way
+    one float64 GEMM does the work with no complex copy of T, and real data
+    keeps imaginary parts exactly zero.
     """
+    if np.asarray(slices).dtype == np.float64:
+        s = np.ascontiguousarray(slices)
+        return (T @ s.reshape(s.shape[0], -1)).reshape(s.shape)
     s = np.ascontiguousarray(slices, dtype=np.complex128)
     flat = s.view(np.float64).reshape(s.shape[0], 2 * s[0].size)
     return (T @ flat).view(np.complex128).reshape(s.shape)

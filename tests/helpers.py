@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import numpy as np
+
+import ctprod.transform as tr
 
 from ctprod import Tensor3, TransformContext, tensor_from_transform_slices
 
@@ -70,3 +75,25 @@ def transform_stochastic_tensor(rng: np.random.Generator, n: int, ctx: Transform
 
     base = stochastic_matrix(rng, n)
     return transition_from_transform_slices(np.stack([base] * ctx.n3), ctx)
+
+
+def count_transforms(monkeypatch):
+    """Count calls of the four public transform functions in every ctprod
+    module that holds them."""
+    counts = Counter()
+    for name, kind in [
+        ("transform_slices", "fwd"),
+        ("to_transform", "fwd"),
+        ("tensor_from_transform_slices", "inv"),
+        ("from_transform", "inv"),
+    ]:
+        fn = getattr(tr, name)
+
+        def counted(*args, _fn=fn, _kind=kind, **kwargs):
+            counts[_kind] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("ctprod") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return counts

@@ -14,7 +14,9 @@ from ctprod import (
     Tensor3,
     build_context,
     c_full_rank,
+    c_hs,
     c_qdr,
+    c_svd,
     check_along,
     check_drazin,
     check_penrose,
@@ -22,6 +24,7 @@ from ctprod import (
     core_nilpotent_parts,
     cprod,
     drazin_inverse,
+    ergodic_projector,
     group_inverse,
     inverse_along,
     mat_embed,
@@ -34,7 +37,7 @@ from ctprod import (
 from ctprod.kernels import pinv_matrix
 
 import golden
-from helpers import equal_rank_tensor, index_two_tensor, random_tensor
+from helpers import count_transforms, equal_rank_tensor, index_two_tensor, random_tensor, transform_stochastic_tensor
 
 
 RECT_MP_METHODS = [MpMethod.SLICEWISE, MpMethod.SVD, MpMethod.QR, MpMethod.FULL_RANK, MpMethod.QDR]
@@ -276,33 +279,6 @@ def test_check_detects_wrong_inverse():
     assert max(check_penrose(A, wrong, ctx).values()) > 1e-3
 
 
-def count_transforms(monkeypatch):
-    """Count calls of the four public transform functions in every ctprod
-    module that holds them."""
-    import sys
-    from collections import Counter
-
-    import ctprod.transform as tr
-
-    counts = Counter()
-    for name, kind in [
-        ("transform_slices", "fwd"),
-        ("to_transform", "fwd"),
-        ("tensor_from_transform_slices", "inv"),
-        ("from_transform", "inv"),
-    ]:
-        fn = getattr(tr, name)
-
-        def counted(*args, _fn=fn, _kind=kind, **kwargs):
-            counts[_kind] += 1
-            return _fn(*args, **kwargs)
-
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("ctprod") and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted)
-    return counts
-
-
 def test_transform_counts(monkeypatch):
     rng = np.random.default_rng(15)
     ctx = build_context(4)
@@ -310,6 +286,7 @@ def test_transform_counts(monkeypatch):
     G = random_tensor(rng, 3, 3, 4, complex_=True)
     X = random_tensor(rng, 3, 3, 4, complex_=True)
     D = index_two_tensor(rng, 4, ctx)
+    P = transform_stochastic_tensor(rng, 3, ctx)
     counts = count_transforms(monkeypatch)
     # Every route transforms each operand once and its result back once;
     # the rest are the residual checks counted below (2/4, 2/3 and 3/4).
@@ -317,6 +294,12 @@ def test_transform_counts(monkeypatch):
     routes += [(f"drazin:{m.value}", lambda m=m: drazin_inverse(D, ctx, m), 3, 4) for m in DrazinMethod]
     routes += [(f"along:{m.value}", lambda m=m: inverse_along(A, G, ctx, m), 5, 5) for m in AlongMethod]
     routes += [("group", lambda: group_inverse(A, ctx), 3, 4), ("corenil", lambda: core_nilpotent_parts(D, ctx), 1, 1)]
+    # Decompositions with their reconstruction, and the ergodic projector.
+    routes += [
+        ("svd+reconstruct", lambda: c_svd(A, ctx).reconstruct(ctx), 4, 4),
+        ("hs+reconstruct", lambda: c_hs(A, ctx).reconstruct(ctx), 5, 5),
+        ("ergodic_projector", lambda: ergodic_projector(P, ctx), 4, 2),
+    ]
     for label, call, fwd, inv in routes:
         counts.clear()
         call()

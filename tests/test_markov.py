@@ -5,6 +5,7 @@ import pytest
 
 from ctprod import (
     EstimatorKind,
+    IndexTooLarge,
     InvalidAlpha,
     NotStochastic,
     ShapeMismatch,
@@ -13,6 +14,7 @@ from ctprod import (
     build_context,
     cprod,
     ergodic_projector,
+    group_inverse,
     identity_tensor,
     is_regular,
     limit_estimate,
@@ -22,6 +24,8 @@ from ctprod import (
     transition_from_transform_slices,
     validate_transition,
 )
+
+from ctprod.kernels import EPS
 
 from helpers import stochastic_matrix, transform_stochastic_tensor
 
@@ -190,3 +194,78 @@ def test_is_regular():
     # the identity chain never mixes
     eye_chain = transition_from_transform_slices(np.stack([np.eye(3)] * 2).astype(complex), ctx)
     assert not is_regular(eye_chain, ctx)
+
+
+def complex_chain(rng, n, ctx):
+    """Transform slices B + i D with B column stochastic and the columns of
+    D summing to zero: column sums stay one, but no slice is real."""
+    hats = []
+    for _ in range(ctx.n3):
+        d = rng.standard_normal((n, n))
+        hats.append(stochastic_matrix(rng, n) + 0.05j * (d - d.mean(axis=0)))
+    return tensor_from_transform_slices(np.stack(hats), ctx)
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+@pytest.mark.parametrize("real", [True, False])
+def test_limit_errors_match_a_storage_recomputation(kind, real):
+    rng = np.random.default_rng(9)
+    ctx = build_context(5)
+    P = transform_stochastic_tensor(rng, 4, ctx) if real else complex_chain(rng, 4, ctx)
+    report = limit_estimate(P, ctx, kind, steps=40, alpha=0.3)
+    # A real chain has a real E, which is what sends the loop to float64.
+    assert np.any(report.E.slices.imag) is not real
+    ph = transform_slices(P, ctx)
+    eye = np.broadcast_to(np.eye(4, dtype=complex), ph.shape)
+    base = 0.3 * eye + 0.7 * ph if kind is EstimatorKind.ALPHA else ph
+    powh, sumh = np.array(eye), np.zeros_like(ph)
+    for m, err in report.estimates:
+        if kind is EstimatorKind.CESARO:
+            sumh = sumh + powh
+            est_h = sumh / m
+            powh = powh @ base
+        else:
+            powh = powh @ base
+            est_h = powh
+        want = max_abs_diff(tensor_from_transform_slices(est_h, ctx), report.E)
+        assert abs(err - want) <= 1e-14, (m, err, want)
+    assert [m for m, _ in report.estimates] == list(range(1, 41))
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9])
+def test_projector_is_bit_identical_to_the_group_inverse_formula(tol):
+    rng = np.random.default_rng(10)
+    for n, n3 in [(4, 3), (6, 8)]:
+        ctx = build_context(n3)
+        for P in (transform_stochastic_tensor(rng, n, ctx), complex_chain(rng, n, ctx)):
+            eye = identity_tensor(n, ctx)
+            a = eye - P
+            cut = EPS**0.75 * (1.0 + np.abs(transform_slices(P, ctx)).max()) if tol is None else tol
+            want = eye - cprod(a, group_inverse(a, ctx, cut).X, ctx)
+            assert ergodic_projector(P, ctx, tol) == want
+
+
+def test_projector_rejects_index_two():
+    # I - P = -N with N the 2 x 2 upshift in every transform slice: index 2.
+    ctx = build_context(3)
+    P = tensor_from_transform_slices(np.stack([np.eye(2) + np.eye(2, k=1)] * 3), ctx)
+    with pytest.raises(IndexTooLarge):
+        ergodic_projector(P, ctx)
+    with pytest.raises(IndexTooLarge):
+        limit_estimate(P, ctx, steps=2)
+
+
+def test_zero_state_chain():
+    ctx = build_context(3)
+    P = validate_transition(Tensor3.zeros(0, 0, 3), ctx)
+    assert ergodic_projector(P, ctx).dims == (0, 0, 3)
+    for kind in EstimatorKind:
+        report = limit_estimate(P, ctx, kind, steps=4)
+        assert report.E.dims == (0, 0, 3)
+        assert report.estimates == ((1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0))
+
+
+@pytest.mark.parametrize("slices", [[], np.eye(2), np.zeros(3)])
+def test_transition_constructor_needs_a_stack(slices):
+    with pytest.raises(ShapeMismatch):
+        transition_from_transform_slices(slices, build_context(2))

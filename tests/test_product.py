@@ -24,7 +24,7 @@ from ctprod import (
     to_transform,
 )
 
-from helpers import random_tensor
+from helpers import count_transforms, random_tensor
 
 
 def test_facewise_product_is_slicewise():
@@ -122,6 +122,26 @@ def test_conj_transpose_matches_embedding_adjoint():
     np.testing.assert_allclose(
         mat_embed(conj_transpose(A, ctx)), mat_embed(A).conj().T, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 3), (4, 4, 1), (3, 2, 64), (0, 2, 2)])
+def test_conj_transpose_is_exact_in_storage(dims, monkeypatch):
+    # M is real, so the conjugate transpose of every storage slice is the
+    # C-product conjugate transpose, with no transform and no roundoff.
+    rng = np.random.default_rng(10)
+    ctx = build_context(dims[2])
+    A = random_tensor(rng, *dims, complex_=True)
+    counts = count_transforms(monkeypatch)
+    X = conj_transpose(A, ctx)
+    assert counts["fwd"] == counts["inv"] == 0
+    want = np.stack([s.conj().T for s in A.slices])
+    np.testing.assert_array_equal(X.slices, want)
+    np.testing.assert_array_equal(mat_embed(X), mat_embed(A).conj().T)
+
+
+def test_conj_transpose_checks_the_context():
+    with pytest.raises(ShapeMismatch):
+        conj_transpose(Tensor3.zeros(2, 3, 4), build_context(3))
 
 
 def test_structure_of():

@@ -23,7 +23,7 @@ from ctprod import (
     transform_slices,
     upshift_matrix,
 )
-from ctprod.transform import block_diag_oracle
+from ctprod.transform import _apply_tube_map, block_diag_oracle
 
 from helpers import random_tensor
 
@@ -101,6 +101,21 @@ def test_transform_matches_the_complex_mode3_product(dims):
             assert max_abs_diff(got, want) <= 1e-14 * (1.0 + np.abs(want.slices).max(initial=0.0))
             if not np.any(A.slices.imag):
                 assert not np.any(got.slices.imag)
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 6), (1, 1, 1), (0, 2, 3)])
+def test_tube_map_keeps_float64_real(dims):
+    # A float64 stack goes through the same GEMM without a complex copy and
+    # comes back float64, equal to the real part of the complex route.
+    rng = np.random.default_rng(8)
+    ctx = build_context(dims[2])
+    A = random_tensor(rng, *dims)
+    for M in (ctx.tube_map, ctx.tube_map_inv):
+        got = _apply_tube_map(M, A.slices.real)
+        want = _apply_tube_map(M, A.slices)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert not np.any(want.imag)
+        np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-14 * (1.0 + np.abs(want).max(initial=0.0)))
 
 
 def test_transform_wrong_context():
