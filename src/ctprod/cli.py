@@ -11,6 +11,7 @@ usage errors and unreadable or malformed input files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -85,7 +86,10 @@ def _add_common(p: argparse.ArgumentParser, *, output: bool = True) -> None:
         p.add_argument("-o", "--output", default=None, help="write the result here instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="ctprod", description="Tensor algebra under the C-product."
     )

@@ -21,6 +21,9 @@ so that parsing a written file reproduces the tensor bit for bit.
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import numpy as np
 
 from .errors import DimsMismatch, ParseError
@@ -52,6 +55,32 @@ def _parse_complex(tok: str, ln: int) -> complex:
         return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise ParseError(ln, f"invalid complex entry {tok!r}") from None
+
+
+# One whole "(re,im)" token of a slice's tokens joined by single spaces: the
+# shape that _parse_complex accepts, so a slice converts in bulk exactly when
+# every token would convert on its own.
+_PAIR = re.compile(r"(?:^| )\(([^,\s]*),([^,\s]*)\)(?= |$)")
+
+# A ".0" that ends a number: repr writes integral floats as "5.0",
+# format_float as "5".
+_TRAILING_ZERO = re.compile(r"\.0(?=[ ,)\n]|$)")
+
+
+def _slice_values(toks: list[str], real: bool) -> np.ndarray:
+    """The numbers of one slice in file order: float64 for a real file,
+    complex128 for a complex one.
+
+    Raises ValueError when some token does not convert; the per-token
+    parsers then name it.
+    """
+    if real:
+        return np.fromiter(map(float, toks), np.float64, count=len(toks))
+    pairs = _PAIR.findall(" ".join(toks))
+    if len(pairs) != len(toks):
+        raise ValueError("malformed complex entry")
+    parts = itertools.chain.from_iterable(pairs)
+    return np.fromiter(map(float, parts), np.float64, count=2 * len(toks)).view(np.complex128)
 
 
 def parse_tensor_file(data: bytes | str) -> Tensor3:
@@ -107,7 +136,12 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
     parts = body.split()
     if len(parts) != 2 or parts[0] != "field" or parts[1] not in ("real", "complex"):
         raise ParseError(ln, "expected 'field real' or 'field complex'")
-    parse_entry = _parse_real if parts[1] == "real" else _parse_complex
+    real = parts[1] == "real"
+    parse_entry = _parse_real if real else _parse_complex
+
+    def name_bad_entry(toks: list[str], row_lines: list[int]) -> None:
+        for t, tok in enumerate(toks):
+            parse_entry(tok, row_lines[t // n2])
 
     slices = np.zeros((n3, n1, n2), dtype=np.complex128)
     rows = n1 if n1 * n2 > 0 else 0
@@ -115,16 +149,23 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
         ln, body = payload_line(f"the 'slice {k}' marker")
         if body.split() != ["slice", str(k)]:
             raise ParseError(ln, f"expected 'slice {k}'")
-        row_lines = []
-        for i in range(rows):
-            ln, body = payload_line(f"row {i} of slice {k}")
-            if body.split() == ["slice", str(k + 1)]:
-                raise DimsMismatch(f"slice {k} has {i} rows, expected {n1}")
-            toks = body.split()
-            if len(toks) != n2:
-                raise DimsMismatch(f"row {i} of slice {k} has {len(toks)} entries, expected {n2}")
-            slices[k, i] = [parse_entry(t, ln) for t in toks]
-            row_lines.append(ln)
+        toks: list[str] = []
+        row_lines: list[int] = []
+        try:
+            for i in range(rows):
+                ln, body = payload_line(f"row {i} of slice {k}")
+                row = body.split()
+                if row == ["slice", str(k + 1)]:
+                    raise DimsMismatch(f"slice {k} has {i} rows, expected {n1}")
+                if len(row) != n2:
+                    raise DimsMismatch(f"row {i} of slice {k} has {len(row)} entries, expected {n2}")
+                toks += row
+                row_lines.append(ln)
+            slices[k] = _slice_values(toks, real).reshape(n1, n2)
+        except (DimsMismatch, ValueError):
+            # A bad entry is reported ahead of a later row's shape error.
+            name_bad_entry(toks, row_lines)
+            raise
         if not np.isfinite(slices[k]).all():
             i, j = np.argwhere(~np.isfinite(slices[k]))[0]
             raise ParseError(row_lines[i], f"non-finite entry in column {j + 1}")
@@ -148,16 +189,12 @@ def write_tensor_file(A: Tensor3, field: str | None = None) -> bytes:
     if field == "real" and np.any(sl.imag != 0.0):
         raise ValueError("cannot write a tensor with nonzero imaginary parts as field real")
     out = ["ct-tensor 1", f"dims {A.n1} {A.n2} {A.n3}", f"field {field}"]
+    # One format string per slice; a complex row interleaves re and im.
+    entry, values = ("%r", sl.real) if field == "real" else ("(%r,%r)", sl.view(np.float64))
+    slice_format = "\n".join([" ".join([entry] * A.n2)] * A.n1)
     for k in range(A.n3):
         out.append(f"slice {k}")
         if A.n1 * A.n2 == 0:
             continue
-        for i in range(A.n1):
-            if field == "real":
-                row = " ".join(format_float(v) for v in sl[k, i].real)
-            else:
-                row = " ".join(
-                    f"({format_float(v.real)},{format_float(v.imag)})" for v in sl[k, i]
-                )
-            out.append(row)
+        out.append(_TRAILING_ZERO.sub("", slice_format % tuple(values[k].ravel().tolist())))
     return ("\n".join(out) + "\n").encode("ascii")

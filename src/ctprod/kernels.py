@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonConvergence, RankMismatch, ShapeMismatch, SingularSlice
 
@@ -249,6 +248,8 @@ def qr_matrix(A) -> MatrixQr:
 
 def qr_pivoted(A) -> tuple[MatrixQr, np.ndarray]:
     """Column-pivoted Householder QR: A[..., :, piv] = Q @ R, |R_jj| nonincreasing."""
+    import scipy.linalg  # deferred, so that importing ctprod does not load SciPy
+
     Q, R, piv = scipy.linalg.qr(_as_stack(A), mode="full", pivoting=True)
     return MatrixQr(Q=Q, R=R), piv
 
@@ -259,6 +260,8 @@ def schur_matrix(A) -> MatrixSchur:
     _require_square(A)
     if A.shape[-1] == 0:
         return MatrixSchur(Q=A.copy(), T=A.copy())
+    import scipy.linalg  # deferred, as in qr_pivoted
+
     try:
         T, Z = scipy.linalg.schur(A, output="complex")
     except scipy.linalg.LinAlgError as exc:

@@ -163,15 +163,25 @@ def ergodic_projector(
     IndexTooLarge when I - P has index above 1 (no group inverse).
     """
     Pt = _as_tensor(P)
+    if tol is None:
+        tol = _projector_tol(transform_slices(Pt, ctx))
+    return _projector(Pt, ctx, tol)
+
+
+def _projector_tol(ph: np.ndarray) -> float:
+    """The projector's default cutoff, from P's transform stack ph.
+
+    I - P is formed by cancellation between unit-scale quantities, so rank
+    decisions inside the group inverse must not mistake the leftover
+    roundoff for signal; anchor the cutoff to P's magnitude instead of each
+    slice's own (possibly vanishing) norm.
+    """
+    return EPS**0.75 * (1.0 + float(np.abs(ph).max(initial=0.0)))
+
+
+def _projector(Pt: Tensor3, ctx: TransformContext, tol: float) -> Tensor3:
     eye = identity_tensor(Pt.n1, ctx)
     a = eye - Pt
-    if tol is None:
-        # I - P is formed by cancellation between unit-scale quantities, so
-        # rank decisions inside the group inverse must not mistake the
-        # leftover roundoff for signal; anchor the cutoff to P's magnitude
-        # instead of each slice's own (possibly vanishing) norm.
-        scale = 1.0 + float(np.abs(transform_slices(Pt, ctx)).max(initial=0.0))
-        tol = EPS**0.75 * scale
     sharp = tensor_from_transform_slices(_group_slices(transform_slices(a, ctx), tol)[0], ctx)
     return eye - cprod(a, sharp, ctx)
 
@@ -202,8 +212,8 @@ def limit_estimate(
     if kind is EstimatorKind.ALPHA and not 0.0 < alpha < 1.0:
         raise InvalidAlpha(alpha)
     Pt = _as_tensor(P)
-    E = ergodic_projector(Pt, ctx, tol)
     ph = transform_slices(Pt, ctx)
+    E = _projector(Pt, ctx, _projector_tol(ph) if tol is None else tol)
     e = E.slices
     if not ph.imag.any() and not e.imag.any():
         ph, e = ph.real.copy(), e.real.copy()

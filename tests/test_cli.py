@@ -1,5 +1,10 @@
 """Command-line interface: happy paths, exit codes, and determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,11 +14,12 @@ from ctprod import (
     check_penrose,
     cprod,
     max_abs_diff,
+    mp_inverse,
     parse_tensor_file,
     tensor_from_transform_slices,
     write_tensor_file,
 )
-from ctprod.cli import main
+from ctprod.cli import _build_parser, main
 
 from helpers import index_two_tensor, random_tensor, stochastic_matrix
 
@@ -263,3 +269,41 @@ def test_help_and_version_exit_zero(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out
     assert "ctprod" in out
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    # One transform slice has a singular value of 1e-5: --tol 1e-3 cuts it,
+    # the default cutoff keeps it.
+    ctx = build_context(2)
+    hats = np.stack([np.diag([1.0, 1e-5]), np.diag([2.0, 1.0])]).astype(complex)
+    A = tensor_from_transform_slices(hats, ctx)
+    path = write(tmp_path, "a.ct", A)
+    code, cut, _ = run(capsys, "pinv", "--tol", "1e-3", path)
+    assert code == 0
+    code, default, _ = run(capsys, "pinv", path)
+    assert code == 0
+    assert default.encode() == write_tensor_file(mp_inverse(A, ctx).X) != cut.encode()
+    code, out, _ = run(capsys, "index", path)
+    assert (code, out.strip()) == (0, "0")
+    code, out, _ = run(capsys, "decomp", path, "--kind", "svd")
+    assert code == 0 and out.count("# factor") == 3
+
+
+def test_scipy_stays_unloaded_on_the_default_paths(tmp_path):
+    A = random_tensor(np.random.default_rng(3), 3, 3, 2)
+    script = (
+        "import sys, ctprod, ctprod.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "assert ctprod.cli.main(['pinv', sys.argv[1], '-o', sys.argv[2]]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'pinv'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run(
+        [sys.executable, "-c", script, write(tmp_path, "a.ct", A), str(tmp_path / "x.ct")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr

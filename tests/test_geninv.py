@@ -27,6 +27,7 @@ from ctprod import (
     ergodic_projector,
     group_inverse,
     inverse_along,
+    limit_estimate,
     mat_embed,
     max_abs_diff,
     mp_inverse,
@@ -294,11 +295,13 @@ def test_transform_counts(monkeypatch):
     routes += [(f"drazin:{m.value}", lambda m=m: drazin_inverse(D, ctx, m), 3, 4) for m in DrazinMethod]
     routes += [(f"along:{m.value}", lambda m=m: inverse_along(A, G, ctx, m), 5, 5) for m in AlongMethod]
     routes += [("group", lambda: group_inverse(A, ctx), 3, 4), ("corenil", lambda: core_nilpotent_parts(D, ctx), 1, 1)]
-    # Decompositions with their reconstruction, and the ergodic projector.
+    # Decompositions with their reconstruction, the ergodic projector, and
+    # a limit estimate, which shares P's transform with its projector.
     routes += [
         ("svd+reconstruct", lambda: c_svd(A, ctx).reconstruct(ctx), 4, 4),
         ("hs+reconstruct", lambda: c_hs(A, ctx).reconstruct(ctx), 5, 5),
         ("ergodic_projector", lambda: ergodic_projector(P, ctx), 4, 2),
+        ("limit_estimate", lambda: limit_estimate(P, ctx, steps=3), 4, 2),
     ]
     for label, call, fwd, inv in routes:
         counts.clear()

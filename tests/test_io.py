@@ -152,3 +152,93 @@ def test_parse_preserves_exact_values():
     A = parse_tensor_file(text)
     assert A.slices[0, 0, 0] == 0.1
     assert A.slices[0, 0, 1] == 1e308
+
+
+# -- identity with the per-scalar reader and writer ---------------------------
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5, 3.0, -42.0, 0.1]
+
+
+def oracle_write(A: Tensor3) -> bytes:
+    """The format written one scalar at a time with format_float."""
+    sl = A.slices
+    field = "complex" if np.any(sl.imag != 0.0) else "real"
+    out = ["ct-tensor 1", f"dims {A.n1} {A.n2} {A.n3}", f"field {field}"]
+    for k in range(A.n3):
+        out.append(f"slice {k}")
+        for i in range(A.n1 if A.n1 * A.n2 else 0):
+            if field == "real":
+                out.append(" ".join(format_float(v) for v in sl[k, i].real))
+            else:
+                out.append(" ".join(f"({format_float(v.real)},{format_float(v.imag)})" for v in sl[k, i]))
+    return ("\n".join(out) + "\n").encode("ascii")
+
+
+def edge_tensors():
+    rng = np.random.default_rng(4)
+    shape = (3, 4, 5)
+    re = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    im = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    re.flat[: len(EDGES)] = EDGES
+    im.flat[-len(EDGES) :] = EDGES
+    re[1, 2] = np.arange(5) - 2.0  # a row of integral values
+    yield Tensor3(re)
+    yield Tensor3(re + 1j * im)
+    yield Tensor3(np.array(EDGES, dtype=complex)[None, None, :] * (1 - 1j))
+    for dims in [(0, 3, 2), (3, 0, 2), (0, 0, 1)]:
+        yield Tensor3.zeros(*dims)
+
+
+@pytest.mark.parametrize("A", list(edge_tensors()), ids=lambda A: "x".join(map(str, A.dims)))
+def test_writer_matches_the_per_scalar_oracle_and_parse_is_bit_exact(A):
+    data = write_tensor_file(A)
+    assert data == oracle_write(A)
+    assert parse_tensor_file(data).slices.tobytes() == A.slices.tobytes()
+
+
+COMPLEX_FILE = "ct-tensor 1\ndims 1 1 1\nfield complex\nslice 0\n{}\n"
+
+
+@pytest.mark.parametrize(
+    "tok,reason",
+    [
+        ("(1,2,3)", "invalid complex entry '(1,2,3)', expected '(re,im)'"),
+        ("1,2", "invalid complex entry '1,2', expected '(re,im)'"),
+        ("(1)", "invalid complex entry '(1)', expected '(re,im)'"),
+        ("1.5", "invalid complex entry '1.5', expected '(re,im)'"),
+        ("(1,x)", "invalid complex entry '(1,x)'"),
+    ],
+)
+def test_complex_entry_errors(tok, reason):
+    with pytest.raises(ParseError) as info:
+        parse_tensor_file(COMPLEX_FILE.format(tok))
+    assert (info.value.line, info.value.reason) == (5, reason)
+
+
+@pytest.mark.parametrize(
+    "field,last_row,reason",
+    [
+        ("real", "5 x", "invalid real entry 'x'"),
+        ("complex", "(5,0) (6,0", "invalid complex entry '(6,0', expected '(re,im)'"),
+    ],
+)
+def test_bad_entry_in_the_last_row_of_a_later_slice(field, last_row, reason):
+    good = "1 2" if field == "real" else "(1,0) (2,0)"
+    text = f"ct-tensor 1\ndims 2 2 2\nfield {field}\nslice 0\n{good}\n{good}\nslice 1\n{good}\n{last_row}\n"
+    with pytest.raises(ParseError) as info:
+        parse_tensor_file(text)
+    assert (info.value.line, info.value.reason) == (9, reason)
+
+
+def test_bad_entry_is_reported_before_a_later_row_of_its_slice_is_short():
+    text = "ct-tensor 1\ndims 3 2 1\nfield real\nslice 0\n1 2\n3 x\n5\n"
+    with pytest.raises(ParseError) as info:
+        parse_tensor_file(text)
+    assert (info.value.line, info.value.reason) == (6, "invalid real entry 'x'")
+
+
+def test_real_entries_accept_what_float_accepts():
+    A = parse_tensor_file("ct-tensor 1\ndims 1 3 1\nfield real\nslice 0\n1_0 +.5 1E3\n")
+    assert A.slices.real.tolist() == [[[10.0, 0.5, 1000.0]]]
+    B = parse_tensor_file("ct-tensor 1\ndims 1 1 1\nfield complex\nslice 0\n(1_0,+.5)\n")
+    assert B.slices.tolist() == [[[10 + 0.5j]]]

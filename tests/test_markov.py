@@ -243,6 +243,7 @@ def test_projector_is_bit_identical_to_the_group_inverse_formula(tol):
             cut = EPS**0.75 * (1.0 + np.abs(transform_slices(P, ctx)).max()) if tol is None else tol
             want = eye - cprod(a, group_inverse(a, ctx, cut).X, ctx)
             assert ergodic_projector(P, ctx, tol) == want
+            assert limit_estimate(P, ctx, steps=2, tol=tol).E == want
 
 
 def test_projector_rejects_index_two():
