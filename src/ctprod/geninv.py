@@ -11,7 +11,8 @@ transform each operand once, compose the stacked kernels of
 :mod:`ctprod.kernels` with ``@`` on those stacks, and transform the result
 back once.  Intermediate results never pass through storage, where roundoff
 from large slices would leak into small ones and sway the rank and index
-decisions made on them.
+decisions made on them.  The residuals reuse the operands' transform stacks,
+so an inverse transforms each operand once, and its result once more.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import IndexTooLarge, NotInvertibleAlong, ShapeMismatch
 from .kernels import (
     MatrixSvd,
     _adj,
-    core_nilpotent_matrix,
+    _core_nilpotent,
     drazin_matrix,
     full_rank_matrix,
     hs_matrix,
@@ -168,8 +169,9 @@ def mp_inverse(
     Penrose identities (see :func:`check_penrose`).
     """
     method = MpMethod(method)
-    X = tensor_from_transform_slices(_MP_ROUTES[method](transform_slices(A, ctx), tol), ctx)
-    return GenInvResult(X=X, residuals=check_penrose(A, X, ctx))
+    ah = transform_slices(A, ctx)
+    X = tensor_from_transform_slices(_MP_ROUTES[method](ah, tol), ctx)
+    return GenInvResult(X=X, residuals=_penrose_residuals(ah, transform_slices(X, ctx), ctx))
 
 
 def tensor_index(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> int:
@@ -179,22 +181,26 @@ def tensor_index(A: Tensor3, ctx: TransformContext, tol: float | None = None) ->
     return int(index_matrix(transform_slices(A, ctx), tol).max())
 
 
-def _drazin_via_power(ah: np.ndarray, k: int, tol: float | None) -> np.ndarray:
+# A Drazin route takes the transform stack, the tensor index k, the index of
+# each slice (read by the core-nilpotent route alone), and the cutoff.
+
+
+def _drazin_via_power(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
     akh = np.linalg.matrix_power(ah, k)
     return akh @ pinv_matrix(np.linalg.matrix_power(ah, 2 * k + 1), tol) @ akh
 
 
-def _drazin_via_qdr(ah: np.ndarray, k: int, tol: float | None) -> np.ndarray:
+def _drazin_via_qdr(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
     f = qdr_matrix(np.linalg.matrix_power(ah, max(k, 1)), tol)
     return _outer_inverse(ah, f.Q, f.R, tol)
 
 
-def _drazin_via_core_nilpotent(ah: np.ndarray, k: int, tol: float | None) -> np.ndarray:
-    f = core_nilpotent_matrix(ah, tol)
+def _drazin_via_core_nilpotent(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
+    f = _core_nilpotent(ah, ks, tol)
     return f.P @ leading_block_inverse(f.F, f.r) @ np.linalg.inv(f.P)
 
 
-def _drazin_via_hs(ah: np.ndarray, k: int, tol: float | None) -> np.ndarray:
+def _drazin_via_hs(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
     f = hs_matrix(ah, tol)
     gd = drazin_matrix(f.Sr @ f.K, tol)
     return f.U[..., : f.r] @ np.concatenate([gd, gd @ gd @ f.Sr @ f.L], axis=-1) @ _adj(f.U)
@@ -222,9 +228,10 @@ def drazin_inverse(
     """
     method = DrazinMethod(method)
     ah = transform_slices(A, ctx)
-    k = int(index_matrix(ah, tol).max())
-    X = tensor_from_transform_slices(_DRAZIN_ROUTES[method](ah, k, tol), ctx)
-    return GenInvResult(X=X, residuals=check_drazin(A, X, k, ctx), k=k)
+    ks = index_matrix(ah, tol)
+    k = int(ks.max())
+    X = tensor_from_transform_slices(_DRAZIN_ROUTES[method](ah, k, ks, tol), ctx)
+    return GenInvResult(X=X, residuals=_drazin_residuals(ah, transform_slices(X, ctx), k, ctx), k=k)
 
 
 def _group_slices(ah: np.ndarray, tol: float | None) -> tuple[np.ndarray, int]:
@@ -233,14 +240,15 @@ def _group_slices(ah: np.ndarray, tol: float | None) -> tuple[np.ndarray, int]:
     k = int(index_matrix(ah, tol).max())
     if k > 1:
         raise IndexTooLarge(k)
-    return _drazin_via_power(ah, 1, tol), k
+    return _drazin_via_power(ah, 1, None, tol), k
 
 
 def group_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> GenInvResult:
     """Group inverse of a square tensor; requires tensor index <= 1."""
-    xh, k = _group_slices(transform_slices(A, ctx), tol)
+    ah = transform_slices(A, ctx)
+    xh, k = _group_slices(ah, tol)
     X = tensor_from_transform_slices(xh, ctx)
-    return GenInvResult(X=X, residuals=check_drazin(A, X, 1, ctx), k=k)
+    return GenInvResult(X=X, residuals=_drazin_residuals(ah, transform_slices(X, ctx), 1, ctx), k=k)
 
 
 def core_nilpotent_parts(
@@ -253,7 +261,7 @@ def core_nilpotent_parts(
     """
     ah = transform_slices(A, ctx)
     k = int(index_matrix(ah, tol).max())
-    coreC = tensor_from_transform_slices(ah @ ah @ _drazin_via_power(ah, k, tol), ctx)
+    coreC = tensor_from_transform_slices(ah @ ah @ _drazin_via_power(ah, k, None, tol), ctx)
     return CoreNilpotentParts(coreC=coreC, nilN=A - coreC, k=k)
 
 
@@ -287,8 +295,7 @@ def _along_via_gag(ah: np.ndarray, gh: np.ndarray, tol: float | None) -> np.ndar
 
 
 def _along_via_full_rank(ah: np.ndarray, gh: np.ndarray, tol: float | None) -> np.ndarray:
-    _along_existence(ah, gh, tol)
-    f = full_rank_matrix(gh, tol)
+    f = _along_existence(ah, gh, tol)[0].full_rank(tol)
     return _outer_inverse(ah, f.M, f.N, tol)
 
 
@@ -315,9 +322,10 @@ def inverse_along(
     """
     _require_dims(G, (A.n2, A.n1, A.n3), "G")
     method = AlongMethod(method)
-    xh = _ALONG_ROUTES[method](transform_slices(A, ctx), transform_slices(G, ctx), tol)
-    X = tensor_from_transform_slices(xh, ctx)
-    return GenInvResult(X=X, residuals=check_along(A, G, X, ctx))
+    ah = transform_slices(A, ctx)
+    gh = transform_slices(G, ctx)
+    X = tensor_from_transform_slices(_ALONG_ROUTES[method](ah, gh, tol), ctx)
+    return GenInvResult(X=X, residuals=_along_residuals(ah, gh, transform_slices(X, ctx), ctx))
 
 
 def _require_dims(T: Tensor3, dims: tuple[int, int, int], name: str) -> None:
@@ -338,8 +346,10 @@ def check_penrose(A: Tensor3, X: Tensor3, ctx: TransformContext) -> dict[str, fl
     storage once, so it is the max-abs entry of, e.g., A *c X *c A - A.
     """
     _require_dims(X, (A.n2, A.n1, A.n3), "X")
-    ah = transform_slices(A, ctx)
-    xh = transform_slices(X, ctx)
+    return _penrose_residuals(transform_slices(A, ctx), transform_slices(X, ctx), ctx)
+
+
+def _penrose_residuals(ah: np.ndarray, xh: np.ndarray, ctx: TransformContext) -> dict[str, float]:
     axh = ah @ xh
     xah = xh @ ah
     return {
@@ -354,8 +364,10 @@ def check_drazin(A: Tensor3, X: Tensor3, k: int, ctx: TransformContext) -> dict[
     """Maximum entrywise residuals of the Drazin identities at index k."""
     _require_dims(A, (A.n1, A.n1, A.n3), "A")
     _require_dims(X, A.dims, "X")
-    ah = transform_slices(A, ctx)
-    xh = transform_slices(X, ctx)
+    return _drazin_residuals(transform_slices(A, ctx), transform_slices(X, ctx), k, ctx)
+
+
+def _drazin_residuals(ah: np.ndarray, xh: np.ndarray, k: int, ctx: TransformContext) -> dict[str, float]:
     akh = np.linalg.matrix_power(ah, k)
     xah = xh @ ah
     return {
@@ -375,9 +387,10 @@ def check_along(A: Tensor3, G: Tensor3, X: Tensor3, ctx: TransformContext) -> di
     """
     _require_dims(G, (A.n2, A.n1, A.n3), "G")
     _require_dims(X, G.dims, "X")
-    ah = transform_slices(A, ctx)
-    gh = transform_slices(G, ctx)
-    xh = transform_slices(X, ctx)
+    return _along_residuals(transform_slices(A, ctx), transform_slices(G, ctx), transform_slices(X, ctx), ctx)
+
+
+def _along_residuals(ah: np.ndarray, gh: np.ndarray, xh: np.ndarray, ctx: TransformContext) -> dict[str, float]:
     gdag = pinv_matrix(gh)
     return {
         "xag": _storage_max_abs(xh @ ah @ gh - gh, ctx),

@@ -1,11 +1,14 @@
-"""Dense complex matrix factorizations and matrix-level generalized inverses.
+"""Dense real or complex matrix factorizations and matrix-level generalized inverses.
 
 These are the per-slice building blocks applied in the transform domain.
 Every kernel takes one matrix or a stack of shape (..., m, n) and treats
 each matrix of a stack on its own, in one numpy/scipy call per stack rather
-than one Python-level call per matrix.  SVD, QR and Schur are backed by
-LAPACK; rank decisions use a cutoff per matrix, max(m, n) * 2**-52 *
-sigma_max, unless the caller supplies a tolerance.
+than one Python-level call per matrix.  A stack of real dtype is computed
+in float64 and stays float64; any other stack is complex128.  Only the
+Schur form is always complex, since a real matrix can have complex
+eigenvalues.  SVD, QR and Schur are backed by LAPACK; rank decisions use a
+cutoff per matrix, max(m, n) * 2**-52 * sigma_max, unless the caller
+supplies a tolerance.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def _adj(x: np.ndarray) -> np.ndarray:
 
 
 def _as_stack(A) -> np.ndarray:
-    M = np.asarray(A, dtype=np.complex128)
+    M = np.asarray(A, dtype=np.complex128 if np.iscomplexobj(A) else np.float64)
     if M.ndim < 2:
         raise ShapeMismatch(f"expected a matrix or a stack of matrices, got ndim={M.ndim}")
     return M
@@ -96,7 +99,7 @@ class MatrixSvd:
     def sigma(self) -> np.ndarray:
         """The rectangular m x n diagonal matrices of singular values."""
         m, n = self.U.shape[-1], self.V.shape[-1]
-        S = np.zeros(self.s.shape[:-1] + (m, n), dtype=np.complex128)
+        S = np.zeros(self.s.shape[:-1] + (m, n), dtype=self.U.dtype)
         k = np.arange(self.s.shape[-1])
         S[..., k, k] = self.s
         return S
@@ -104,6 +107,12 @@ class MatrixSvd:
     def rank(self, tol: float | None = None) -> int | np.ndarray:
         """Numerical rank of each factored matrix, from these singular values."""
         return _per_matrix(self.U, _ranks(self.s, (self.U.shape[-1], self.V.shape[-1]), tol))
+
+    def full_rank(self, tol: float | None = None) -> MatrixFullRank:
+        """The full-rank factors M @ N of the factored matrices, from this SVD
+        (see :func:`full_rank_matrix`)."""
+        r = common_rank(self.rank(tol))
+        return MatrixFullRank(M=self.U[..., :r] * self.s[..., None, :r], N=_adj(self.V[..., :r]), r=r)
 
 
 @dataclass(frozen=True)
@@ -218,7 +227,7 @@ def pinv_matrix(A, tol: float | None = None) -> np.ndarray:
     A = _as_stack(A)
     m, n = A.shape[-2:]
     if A.size == 0:
-        return np.zeros(A.shape[:-2] + (n, m), dtype=np.complex128)
+        return np.zeros(A.shape[:-2] + (n, m), dtype=A.dtype)
     try:
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -255,11 +264,12 @@ def qr_pivoted(A) -> tuple[MatrixQr, np.ndarray]:
 
 
 def schur_matrix(A) -> MatrixSchur:
-    """Complex Schur form A = Q^H T Q (Hessenberg reduction + shifted QR)."""
+    """Complex Schur form A = Q^H T Q (Hessenberg reduction + shifted QR),
+    complex128 for a real A too."""
     A = _as_stack(A)
     _require_square(A)
     if A.shape[-1] == 0:
-        return MatrixSchur(Q=A.copy(), T=A.copy())
+        return MatrixSchur(Q=A.astype(np.complex128), T=A.astype(np.complex128))
     import scipy.linalg  # deferred, as in qr_pivoted
 
     try:
@@ -277,11 +287,7 @@ def full_rank_matrix(A, tol: float | None = None) -> MatrixFullRank:
     SVD.  Rank 0 yields zero-width factors; a stack whose matrices differ
     in rank raises RankMismatch.
     """
-    d = svd_matrix(A)
-    r = common_rank(d.rank(tol))
-    M = d.U[..., :r] * d.s[..., None, :r]
-    N = _adj(d.V[..., :r])
-    return MatrixFullRank(M=M, N=N, r=r)
+    return svd_matrix(A).full_rank(tol)
 
 
 def qdr_matrix(A, tol: float | None = None) -> MatrixQdr:
@@ -298,7 +304,7 @@ def qdr_matrix(A, tol: float | None = None) -> MatrixQdr:
     d = np.diagonal(f.R, axis1=-2, axis2=-1)[..., :r]
     Rn = f.R[..., :r, :] / d[..., :, None]
     R = np.take_along_axis(Rn, np.argsort(piv, axis=-1)[..., None, :], axis=-1)
-    D = np.zeros(d.shape + (r,), dtype=np.complex128)
+    D = np.zeros(d.shape + (r,), dtype=d.dtype)
     D[..., np.arange(r), np.arange(r)] = d
     return MatrixQdr(Q=f.Q[..., :r], D=D, R=R, r=r)
 
@@ -322,15 +328,15 @@ def index_matrix(A, tol: float | None = None) -> int | np.ndarray:
     r_prev = np.full(A.shape[:-2], n)
     k = np.full(A.shape[:-2], n)
     open_ = np.ones(A.shape[:-2], dtype=bool)
-    B = np.broadcast_to(np.eye(n, dtype=np.complex128), A.shape)
+    B = A  # A^(j+1) at step j
     for j in range(n + 1):
-        B = B @ A
         r = numerical_rank(B, tol)
         k = np.where(open_ & (r == r_prev), j, k)
         open_ &= r != r_prev
         if not open_.any():
             break
         r_prev = r
+        B = B @ A
     return _per_matrix(A, k)
 
 
@@ -360,7 +366,12 @@ def core_nilpotent_matrix(A, tol: float | None = None) -> MatrixCoreNilpotent:
     """
     A = _as_stack(A)
     _require_square(A)
-    k = index_matrix(A, tol)
+    return _core_nilpotent(A, index_matrix(A, tol), tol)
+
+
+def _core_nilpotent(A: np.ndarray, k: np.ndarray, tol: float | None) -> MatrixCoreNilpotent:
+    """:func:`core_nilpotent_matrix` of a square stack A whose per-matrix
+    indices k are already known."""
     Ak = np.empty_like(A)
     for e in map(int, np.unique(k)):
         Ak[k == e] = np.linalg.matrix_power(A[k == e], e)

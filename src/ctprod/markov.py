@@ -22,6 +22,7 @@ from .tensor import Tensor3
 from .transform import (
     TransformContext,
     _apply_tube_map,
+    _real_if_exact,
     tensor_from_transform_slices,
     transform_slices,
 )
@@ -214,9 +215,7 @@ def limit_estimate(
     Pt = _as_tensor(P)
     ph = transform_slices(Pt, ctx)
     E = _projector(Pt, ctx, _projector_tol(ph) if tol is None else tol)
-    e = E.slices
-    if not ph.imag.any() and not e.imag.any():
-        ph, e = ph.real.copy(), e.real.copy()
+    e = _real_if_exact(E.slices)
     eyeh = np.broadcast_to(np.eye(Pt.n1, dtype=ph.dtype), ph.shape)
     base = alpha * eyeh + (1.0 - alpha) * ph if kind is EstimatorKind.ALPHA else ph
     powh = np.array(eyeh)  # base^0

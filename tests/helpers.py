@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import ctprod.transform as tr
 
@@ -19,8 +21,12 @@ def random_tensor(rng: np.random.Generator, n1: int, n2: int, n3: int, complex_:
     return Tensor3(arr)
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+def random_unitary(rng: np.random.Generator, n: int, complex_: bool = True) -> np.ndarray:
+    """A random unitary matrix, or a real orthogonal one with complex_=False."""
+    a = rng.standard_normal((n, n))
+    if complex_:
+        a = a + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(a)
     return q
 
 
@@ -33,18 +39,16 @@ def equal_rank_tensor(
     complex_: bool = True,
 ) -> Tensor3:
     """Every transform slice has exact rank r with singular values in [1, 2],
-    so the numerical rank is unambiguous."""
+    so the numerical rank is unambiguous; with complex_=False the singular
+    vectors, and so the tensor, are real."""
     hats = []
     for _ in range(ctx.n3):
-        u = random_unitary(rng, n1)
-        v = random_unitary(rng, n2)
-        s = np.zeros((n1, n2), dtype=np.complex128)
+        u = random_unitary(rng, n1, complex_)
+        v = random_unitary(rng, n2, complex_)
+        s = np.zeros((n1, n2))
         s[:r, :r] = np.diag(rng.uniform(1.0, 2.0, r))
         hats.append(u @ s @ v.conj().T)
-    A = tensor_from_transform_slices(np.stack(hats), ctx)
-    if not complex_:
-        A = Tensor3(A.slices.real)
-    return A
+    return tensor_from_transform_slices(np.stack(hats), ctx)
 
 
 def index_two_tensor(rng: np.random.Generator, n: int, ctx: TransformContext) -> Tensor3:
@@ -97,3 +101,15 @@ def count_transforms(monkeypatch):
             if getattr(mod, "__name__", "").startswith("ctprod") and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted)
     return counts
+
+
+@contextlib.contextmanager
+def forced_complex():
+    """Within the block, transforms take every tensor as complex, so a real
+    tensor runs through the complex128 kernels as if it had imaginary parts."""
+    rule = tr._real_if_exact
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("ctprod") and getattr(mod, "_real_if_exact", None) is rule:
+                mp.setattr(mod, "_real_if_exact", lambda slices: slices)
+        yield

@@ -29,7 +29,7 @@ from ctprod import (
     transform_slices,
 )
 
-from helpers import equal_rank_tensor, index_two_tensor, random_tensor
+from helpers import equal_rank_tensor, forced_complex, index_two_tensor, random_tensor
 
 
 def unequal_rank_tensor(rng, ctx):
@@ -174,3 +174,44 @@ def test_core_nilpotent_of_invertible_is_trivial():
     assert parts.k == 0
     assert max_abs_diff(parts.coreC, A) < 1e-11
     assert max_abs_diff(parts.nilN, Tensor3.zeros(3, 3, 2)) < 1e-11
+
+
+def test_real_inputs_agree_with_the_complex_kernels():
+    """Factors of a real tensor come from float64 kernels (Schur aside);
+    forced through the complex kernels instead, the reconstructions, the
+    singular values, the ranks and the core-nilpotent parts agree to 1e-12
+    relative."""
+    rng = np.random.default_rng(21)
+    ctx = build_context(6)
+    E = equal_rank_tensor(rng, 5, 5, 3, ctx, complex_=False)
+    D = index_two_tensor(rng, 5, ctx)
+    calls = {
+        "svd": lambda: c_svd(E, ctx),
+        "qr": lambda: c_qr(E, ctx),
+        "schur": lambda: c_schur(E, ctx),
+        "fullrank": lambda: c_full_rank(E, ctx),
+        "qdr": lambda: c_qdr(E, ctx),
+        "hs": lambda: c_hs(E, ctx),
+    }
+
+    def close(got, want):
+        return max_abs_diff(got, want) <= 1e-12 * max(np.abs(want.slices).max(), 1.0)
+
+    for kind, call in calls.items():
+        real = call()
+        with forced_complex():
+            cplx = call()
+            cplx_recon = cplx.reconstruct(ctx)
+        assert close(real.reconstruct(ctx), cplx_recon), kind
+        assert getattr(real, "r", None) == getattr(cplx, "r", None), kind
+        if kind != "schur":
+            assert not np.any(real.reconstruct(ctx).slices.imag), kind
+    sv = c_svd(E, ctx).S
+    with forced_complex():
+        sv_cplx = c_svd(E, ctx).S
+    assert close(sv, sv_cplx)
+    real = core_nilpotent_parts(D, ctx, 1e-8)
+    with forced_complex():
+        cplx = core_nilpotent_parts(D, ctx, 1e-8)
+    assert real.k == cplx.k == 2
+    assert close(real.coreC, cplx.coreC) and close(real.nilN, cplx.nilN)

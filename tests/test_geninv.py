@@ -34,11 +34,19 @@ from ctprod import (
     ten_extract,
     tensor_from_transform_slices,
     tensor_index,
+    transform_slices,
 )
 from ctprod.kernels import pinv_matrix
 
 import golden
-from helpers import count_transforms, equal_rank_tensor, index_two_tensor, random_tensor, transform_stochastic_tensor
+from helpers import (
+    count_transforms,
+    equal_rank_tensor,
+    forced_complex,
+    index_two_tensor,
+    random_tensor,
+    transform_stochastic_tensor,
+)
 
 
 RECT_MP_METHODS = [MpMethod.SLICEWISE, MpMethod.SVD, MpMethod.QR, MpMethod.FULL_RANK, MpMethod.QDR]
@@ -289,12 +297,13 @@ def test_transform_counts(monkeypatch):
     D = index_two_tensor(rng, 4, ctx)
     P = transform_stochastic_tensor(rng, 3, ctx)
     counts = count_transforms(monkeypatch)
-    # Every route transforms each operand once and its result back once;
-    # the rest are the residual checks counted below (2/4, 2/3 and 3/4).
-    routes = [(f"mp:{m.value}", lambda m=m: mp_inverse(A, ctx, m), 3, 5) for m in MpMethod]
-    routes += [(f"drazin:{m.value}", lambda m=m: drazin_inverse(D, ctx, m), 3, 4) for m in DrazinMethod]
-    routes += [(f"along:{m.value}", lambda m=m: inverse_along(A, G, ctx, m), 5, 5) for m in AlongMethod]
-    routes += [("group", lambda: group_inverse(A, ctx), 3, 4), ("corenil", lambda: core_nilpotent_parts(D, ctx), 1, 1)]
+    # Every route transforms each operand once and its result back once; its
+    # residuals reuse the operands' stacks, so they add one forward transform
+    # (of the result) and the back-maps of the checks counted below.
+    routes = [(f"mp:{m.value}", lambda m=m: mp_inverse(A, ctx, m), 2, 5) for m in MpMethod]
+    routes += [(f"drazin:{m.value}", lambda m=m: drazin_inverse(D, ctx, m), 2, 4) for m in DrazinMethod]
+    routes += [(f"along:{m.value}", lambda m=m: inverse_along(A, G, ctx, m), 3, 5) for m in AlongMethod]
+    routes += [("group", lambda: group_inverse(A, ctx), 2, 4), ("corenil", lambda: core_nilpotent_parts(D, ctx), 1, 1)]
     # Decompositions with their reconstruction, the ergodic projector, and
     # a limit estimate, which shares P's transform with its projector.
     routes += [
@@ -455,3 +464,94 @@ def test_svd_calls_do_not_grow_with_n3(monkeypatch):
     small, large = calls(4), calls(16)
     assert small == large
     assert max(small.values()) <= 10
+
+
+def _rel_diff(got: Tensor3, want: Tensor3) -> float:
+    return max_abs_diff(got, want) / max(np.abs(want.slices).max(), 1.0)
+
+
+def test_real_inputs_agree_with_the_complex_kernels():
+    """A real tensor runs every route in float64; forced through the complex
+    kernels instead, it gives the same inverse to 1e-12 relative."""
+    rng = np.random.default_rng(18)
+    ctx = build_context(6)
+    sq = equal_rank_tensor(rng, 5, 5, 5, ctx, complex_=False)
+    rect = equal_rank_tensor(rng, 4, 6, 3, ctx, complex_=False)
+    D = index_two_tensor(rng, 5, ctx)
+    A = equal_rank_tensor(rng, 4, 5, 4, ctx, complex_=False)
+    G = equal_rank_tensor(rng, 5, 4, 2, ctx, complex_=False)
+    for T in (sq, rect, D, A, G):
+        assert not np.any(T.slices.imag) and transform_slices(T, ctx).dtype == np.float64
+    calls = {f"mp:{m.value}": lambda m=m: mp_inverse(sq, ctx, m) for m in MpMethod}
+    calls.update({f"mp:{m.value}:rect": lambda m=m: mp_inverse(rect, ctx, m) for m in RECT_MP_METHODS})
+    # An explicit cutoff for Drazin: at the per-slice default, the hs route
+    # misjudges this input's index on either path (residuals of about 1e41).
+    calls.update({f"drazin:{m.value}": lambda m=m: drazin_inverse(D, ctx, m, 1e-8) for m in DrazinMethod})
+    calls.update({f"along:{m.value}": lambda m=m: inverse_along(A, G, ctx, m) for m in AlongMethod})
+    calls["group"] = lambda: group_inverse(sq, ctx)
+    for label, call in calls.items():
+        real = call()
+        with forced_complex():
+            cplx = call()
+        assert real.k == cplx.k, label
+        assert _rel_diff(real.X, cplx.X) <= 1e-12, (label, _rel_diff(real.X, cplx.X))
+        if label != "mp:schur":  # the complex Schur form leaves roundoff in the imaginary parts
+            assert not np.any(real.X.slices.imag), label
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_residuals_equal_a_separate_check(complex_):
+    """Each inverse reuses its operand's transform for the residuals, and
+    they are bit for bit those of the public check on the result."""
+    rng = np.random.default_rng(19)
+    ctx = build_context(5)
+    A = random_tensor(rng, 3, 4, 5, complex_)
+    S = random_tensor(rng, 4, 4, 5, complex_)
+    G = equal_rank_tensor(rng, 4, 3, 2, ctx, complex_)
+    D = index_two_tensor(rng, 4, ctx)
+    if complex_:
+        D = Tensor3(D.slices * (1 + 1j))
+    for m in MpMethod:
+        T = S if m in (MpMethod.SCHUR, MpMethod.HS) else A
+        res = mp_inverse(T, ctx, m)
+        assert res.residuals == check_penrose(T, res.X, ctx), m
+    for m in DrazinMethod:
+        res = drazin_inverse(D, ctx, m)
+        assert res.k == 2 and res.residuals == check_drazin(D, res.X, 2, ctx), m
+    res = group_inverse(S, ctx)
+    assert res.residuals == check_drazin(S, res.X, 1, ctx)
+    for m in AlongMethod:
+        res = inverse_along(A, G, ctx, m)
+        assert res.residuals == check_along(A, G, res.X, ctx), m
+
+
+def test_no_repeated_index_or_svd_within_a_route(monkeypatch):
+    """The corenil Drazin route reads the slice indices drazin_inverse
+    already found, and the fullrank along route factors G from the SVD of
+    its existence check; neither runs those singular value stacks again."""
+    from collections import Counter
+
+    counts = Counter()
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(20)
+    ctx = build_context(4)
+    D = index_two_tensor(rng, 5, ctx)
+    A = equal_rank_tensor(rng, 4, 5, 4, ctx)
+    G = equal_rank_tensor(rng, 5, 4, 3, ctx)
+    expected = [
+        # index 2: ranks of A, A^2 and A^3 (3 stacks), then one SVD of A^k
+        (lambda: drazin_inverse(D, ctx, DrazinMethod.CORE_NILPOTENT, 1e-8), 4),
+        # SVD of G-hat and the rank of its leading blocks (existence), the
+        # rank inside the outer inverse, and G-hat^+ in the residuals
+        (lambda: inverse_along(A, G, ctx, AlongMethod.FULL_RANK_OF_G, 1e-8), 4),
+    ]
+    for call, want in expected:
+        counts.clear()
+        call()
+        assert counts["svd"] == want

@@ -34,9 +34,9 @@ def random_matrix(rng, m, n, complex_=True):
     return a
 
 
-def rank_deficient(rng, m, n, r):
-    u = random_unitary(rng, m)[:, :r]
-    v = random_unitary(rng, n)[:, :r]
+def rank_deficient(rng, m, n, r, complex_=True):
+    u = random_unitary(rng, m, complex_)[:, :r]
+    v = random_unitary(rng, n, complex_)[:, :r]
     s = np.diag(rng.uniform(1.0, 2.0, r))
     return u @ s @ v.conj().T
 
@@ -320,3 +320,34 @@ def test_hs_and_inverse_of_a_stack_match_each_matrix():
     with pytest.raises(SingularSlice) as err:
         inverse_matrix(np.concatenate([invertible, stack, invertible, stack]))
     assert err.value.slice_index == 3
+
+
+def test_real_stacks_stay_float64():
+    # Every kernel but Schur keeps a real stack real; Schur is complex
+    # because a real matrix can have complex eigenvalues.
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((3, 4, 4))
+    low = np.stack([rank_deficient(rng, 4, 4, 2, complex_=False) for _ in range(3)])
+    out = {
+        "svd": svd_matrix(a),
+        "pinv": pinv_matrix(a),
+        "pinv_empty": pinv_matrix(np.zeros((2, 0, 3))),
+        "inverse": inverse_matrix(a + 4 * np.eye(4)),
+        "qr": qr_matrix(a),
+        "qr_pivoted": qr_pivoted(a)[0],
+        "full_rank": full_rank_matrix(low),
+        "qdr": qdr_matrix(low),
+        "hs": hs_matrix(low),
+        "drazin": drazin_matrix(low),
+        "core_nilpotent": core_nilpotent_matrix(low),
+        "leading_block_inverse": leading_block_inverse(a + 4 * np.eye(4), [2, 3, 4]),
+    }
+    out["sigma"] = out["svd"].sigma()
+    for name, got in out.items():
+        arrays = [got] if isinstance(got, np.ndarray) else [v for v in vars(got).values() if isinstance(v, np.ndarray)]
+        arrays = [x for x in arrays if x.dtype.kind != "i"]  # per-matrix ranks and indices
+        assert arrays and all(x.dtype == np.float64 for x in arrays), name
+    assert out["hs"].r == 2 and index_matrix(low).tolist() == [1, 1, 1]
+    for A in (a, np.zeros((0, 0))):
+        f = schur_matrix(A)
+        assert f.Q.dtype == f.T.dtype == np.complex128

@@ -118,6 +118,34 @@ def test_tube_map_keeps_float64_real(dims):
         np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-14 * (1.0 + np.abs(want).max(initial=0.0)))
 
 
+def test_real_tensors_transform_in_float64():
+    rng = np.random.default_rng(9)
+    ctx = build_context(5)
+    real = random_tensor(rng, 3, 4, 5)
+    cplx = random_tensor(rng, 3, 4, 5, complex_=True)
+    # Imaginary parts of exactly zero, including -0.0, count as real.
+    negzero = Tensor3(real.slices.conj())
+    assert np.signbit(negzero.slices.imag).all()
+    for A in (real, negzero):
+        got = transform_slices(A, ctx)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        want = _apply_tube_map(ctx.tube_map, A.slices)
+        np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-14 * np.abs(want).max())
+    # Complex data stays complex, also when its first entry is real.
+    late = cplx.slices.copy()
+    late.flat[0] = late.flat[0].real
+    for A in (cplx, Tensor3(late)):
+        assert transform_slices(A, ctx).dtype == np.complex128
+    # The way back accepts either; every tensor is complex128.
+    for hat in (transform_slices(real, ctx), transform_slices(cplx, ctx)):
+        B = tensor_from_transform_slices(hat, ctx)
+        assert B.slices.dtype == np.complex128
+        assert max_abs_diff(B, real if hat.dtype == np.float64 else cplx) < 1e-13
+    assert not np.any(tensor_from_transform_slices(transform_slices(real, ctx), ctx).slices.imag)
+    for T in (to_transform(real, ctx), from_transform(real, ctx)):
+        assert T.slices.dtype == np.complex128 and not np.any(T.slices.imag)
+
+
 def test_transform_wrong_context():
     ctx = build_context(3)
     with pytest.raises(ShapeMismatch):
