@@ -3,22 +3,24 @@
 Moore-Penrose, Drazin, and group inverses, plus the inverse of a tensor
 along another tensor.  Every inverse is computable by several independent
 routes (selected with the method enums); all routes agree to rounding error
-on valid inputs, which the residual dictionaries returned alongside each
-result make easy to confirm.
+on valid inputs, which the residual dictionary of each result makes easy to
+confirm.
 
 Every route is a function of transform-slice stacks: the public functions
 transform each operand once, compose the stacked kernels of
 :mod:`ctprod.kernels` with ``@`` on those stacks, and transform the result
 back once.  Intermediate results never pass through storage, where roundoff
 from large slices would leak into small ones and sway the rank and index
-decisions made on them.  The residuals reuse the operands' transform stacks,
-so an inverse transforms each operand once, and its result once more.
+decisions made on them.  The residuals are computed when first read: they
+reuse the operands' transform stacks and transform the result once more.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -92,12 +94,36 @@ class AlongMethod(str, Enum):
 
 @dataclass(frozen=True)
 class GenInvResult:
-    """A computed inverse, its defining-identity residuals, and (if relevant)
-    the tensor index that was used."""
+    """A computed inverse, (if relevant) the tensor index that was used, and
+    its defining-identity residuals.
+
+    The residuals are computed on first read of ``residuals`` and cached.
+    Until then the result keeps its operands' transform stacks (A-hat, and
+    G-hat for an inverse along G); the first read releases them.  Equality
+    compares ``X`` and ``k`` only, and pickling stores the residuals, read
+    first if need be, in place of the stacks.
+    """
 
     X: Tensor3
-    residuals: dict[str, float] = field(compare=False)
     k: int | None = None
+    _residuals_of: Callable[[Tensor3], dict[str, float]] | None = field(kw_only=True, repr=False, compare=False)
+
+    @cached_property
+    def residuals(self) -> dict[str, float]:
+        """Maximum entrywise errors of the defining identities, bit for bit
+        those of the matching ``check_*`` call on ``X``."""
+        compute = self._residuals_of
+        if compute is None:  # a concurrent first read has cached them already
+            return self.__dict__["residuals"]
+        residuals = compute(self.X)
+        # Cache before releasing the stacks, so a concurrent reader that finds
+        # them gone finds the residuals.
+        self.__dict__["residuals"] = residuals
+        object.__setattr__(self, "_residuals_of", None)
+        return residuals
+
+    def __getstate__(self) -> dict:
+        return {"X": self.X, "k": self.k, "residuals": self.residuals, "_residuals_of": None}
 
 
 @dataclass(frozen=True)
@@ -143,7 +169,10 @@ def _mp_via_qdr(ah: np.ndarray, tol: float | None) -> np.ndarray:
 def _mp_via_hs(ah: np.ndarray, tol: float | None) -> np.ndarray:
     f = hs_matrix(ah, tol)
     kl = np.concatenate([f.K, f.L], axis=-1)
-    return f.U @ _adj(kl) @ inverse_matrix(f.Sr, tol) @ _adj(f.U[..., : f.r])
+    # Sr is diagonal, its singular values above the cutoff: scaling by their
+    # reciprocals gives the bits of the product with its LU inverse.
+    s = np.diagonal(f.Sr, axis1=-2, axis2=-1)
+    return (f.U @ _adj(kl) * (1 / s)[..., None, :]) @ _adj(f.U[..., : f.r])
 
 
 _MP_ROUTES = {
@@ -165,13 +194,14 @@ def mp_inverse(
 ) -> GenInvResult:
     """Moore-Penrose inverse of A under the C-product.
 
-    The returned residuals are the maximum entrywise errors of the four
-    Penrose identities (see :func:`check_penrose`).
+    The result's residuals, computed on first read, are the maximum
+    entrywise errors of the four Penrose identities (see
+    :func:`check_penrose`).
     """
     method = MpMethod(method)
     ah = transform_slices(A, ctx)
     X = tensor_from_transform_slices(_MP_ROUTES[method](ah, tol), ctx)
-    return GenInvResult(X=X, residuals=_penrose_residuals(ah, transform_slices(X, ctx), ctx))
+    return GenInvResult(X, _residuals_of=lambda X: _penrose_residuals(ah, transform_slices(X, ctx), ctx))
 
 
 def tensor_index(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> int:
@@ -222,16 +252,16 @@ def drazin_inverse(
 ) -> GenInvResult:
     """Drazin inverse of a square tensor under the C-product.
 
-    ``result.k`` carries the tensor index.  Residuals are the maximum
-    entrywise errors of the three Drazin identities (see
-    :func:`check_drazin`).
+    ``result.k`` carries the tensor index.  The residuals, computed on first
+    read, are the maximum entrywise errors of the three Drazin identities
+    (see :func:`check_drazin`).
     """
     method = DrazinMethod(method)
     ah = transform_slices(A, ctx)
     ks = index_matrix(ah, tol)
     k = int(ks.max())
     X = tensor_from_transform_slices(_DRAZIN_ROUTES[method](ah, k, ks, tol), ctx)
-    return GenInvResult(X=X, residuals=_drazin_residuals(ah, transform_slices(X, ctx), k, ctx), k=k)
+    return GenInvResult(X, k, _residuals_of=lambda X: _drazin_residuals(ah, transform_slices(X, ctx), k, ctx))
 
 
 def _group_slices(ah: np.ndarray, tol: float | None) -> tuple[np.ndarray, int]:
@@ -244,11 +274,15 @@ def _group_slices(ah: np.ndarray, tol: float | None) -> tuple[np.ndarray, int]:
 
 
 def group_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> GenInvResult:
-    """Group inverse of a square tensor; requires tensor index <= 1."""
+    """Group inverse of a square tensor; requires tensor index <= 1.
+
+    The residuals, computed on first read, are those of the Drazin
+    identities at index 1 (see :func:`check_drazin`).
+    """
     ah = transform_slices(A, ctx)
     xh, k = _group_slices(ah, tol)
     X = tensor_from_transform_slices(xh, ctx)
-    return GenInvResult(X=X, residuals=_drazin_residuals(ah, transform_slices(X, ctx), 1, ctx), k=k)
+    return GenInvResult(X, k, _residuals_of=lambda X: _drazin_residuals(ah, transform_slices(X, ctx), 1, ctx))
 
 
 def core_nilpotent_parts(
@@ -318,14 +352,15 @@ def inverse_along(
     A is n1 x n2 x n3 and G is n2 x n1 x n3; the result X (n2 x n1 x n3)
     satisfies X *c A *c G = G, G *c A *c X = G, and has range and null
     space matching G's.  Existence is checked up front for every method;
-    failures raise NotInvertibleAlong with the offending slice.
+    failures raise NotInvertibleAlong with the offending slice.  The
+    residuals, computed on first read, are those of :func:`check_along`.
     """
     _require_dims(G, (A.n2, A.n1, A.n3), "G")
     method = AlongMethod(method)
     ah = transform_slices(A, ctx)
     gh = transform_slices(G, ctx)
     X = tensor_from_transform_slices(_ALONG_ROUTES[method](ah, gh, tol), ctx)
-    return GenInvResult(X=X, residuals=_along_residuals(ah, gh, transform_slices(X, ctx), ctx))
+    return GenInvResult(X, _residuals_of=lambda X: _along_residuals(ah, gh, transform_slices(X, ctx), ctx))
 
 
 def _require_dims(T: Tensor3, dims: tuple[int, int, int], name: str) -> None:

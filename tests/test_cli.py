@@ -21,7 +21,7 @@ from ctprod import (
 )
 from ctprod.cli import _build_parser, main
 
-from helpers import index_two_tensor, random_tensor, stochastic_matrix
+from helpers import count_transforms, index_two_tensor, random_tensor, stochastic_matrix
 
 
 def write(tmp_path, name, tensor):
@@ -63,6 +63,15 @@ def test_pinv_writes_file_and_stdout_identically(square, tmp_path, capsys):
     assert out_file.read_bytes().decode() == out
     X = parse_tensor_file(out)
     assert max(check_penrose(A, X, build_context(2)).values()) < 1e-10
+
+
+def test_pinv_transforms_once_each_way(square, capsys, monkeypatch):
+    """pinv reads no residuals, so it transforms A forward and X back once."""
+    A, path = square
+    counts = count_transforms(monkeypatch)
+    code, out, _ = run(capsys, "pinv", path)
+    assert code == 0 and (counts["fwd"], counts["inv"]) == (1, 1)
+    assert out.encode() == write_tensor_file(mp_inverse(A, build_context(2)).X)
 
 
 @pytest.mark.parametrize("method", ["slicewise", "svd", "qr", "schur", "fullrank", "qdr", "hs"])

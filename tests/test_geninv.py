@@ -1,6 +1,10 @@
 """Generalized inverses: golden problems, route agreement, identities,
 and failure modes."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -36,7 +40,8 @@ from ctprod import (
     tensor_index,
     transform_slices,
 )
-from ctprod.kernels import pinv_matrix
+from ctprod.geninv import _mp_via_hs
+from ctprod.kernels import _adj, hs_matrix, inverse_matrix, pinv_matrix
 
 import golden
 from helpers import (
@@ -297,16 +302,26 @@ def test_transform_counts(monkeypatch):
     D = index_two_tensor(rng, 4, ctx)
     P = transform_stochastic_tensor(rng, 3, ctx)
     counts = count_transforms(monkeypatch)
-    # Every route transforms each operand once and its result back once; its
-    # residuals reuse the operands' stacks, so they add one forward transform
-    # (of the result) and the back-maps of the checks counted below.
-    routes = [(f"mp:{m.value}", lambda m=m: mp_inverse(A, ctx, m), 2, 5) for m in MpMethod]
-    routes += [(f"drazin:{m.value}", lambda m=m: drazin_inverse(D, ctx, m), 2, 4) for m in DrazinMethod]
-    routes += [(f"along:{m.value}", lambda m=m: inverse_along(A, G, ctx, m), 3, 5) for m in AlongMethod]
-    routes += [("group", lambda: group_inverse(A, ctx), 2, 4), ("corenil", lambda: core_nilpotent_parts(D, ctx), 1, 1)]
-    # Decompositions with their reconstruction, the ergodic projector, and
-    # a limit estimate, which shares P's transform with its projector.
-    routes += [
+    # Every inverse transforms each operand once and its result back once.
+    # The first read of its residuals reuses the operands' stacks, so it adds
+    # one forward transform (of the result) and the back-maps of the matching
+    # check counted below; a second read adds nothing.
+    inverses = [(f"mp:{m.value}", lambda m=m: mp_inverse(A, ctx, m), (1, 1), (2, 5)) for m in MpMethod]
+    inverses += [(f"drazin:{m.value}", lambda m=m: drazin_inverse(D, ctx, m), (1, 1), (2, 4)) for m in DrazinMethod]
+    inverses += [(f"along:{m.value}", lambda m=m: inverse_along(A, G, ctx, m), (2, 1), (3, 5)) for m in AlongMethod]
+    inverses += [("group", lambda: group_inverse(A, ctx), (1, 1), (2, 4))]
+    for label, call, route, with_residuals in inverses:
+        counts.clear()
+        res = call()
+        assert (counts["fwd"], counts["inv"]) == route, (label, dict(counts))
+        for _ in range(2):
+            res.residuals
+            assert (counts["fwd"], counts["inv"]) == with_residuals, (label, dict(counts))
+    # The core-nilpotent split, decompositions with their reconstruction, the
+    # ergodic projector, and a limit estimate, which shares P's transform
+    # with its projector.
+    routes = [
+        ("corenil", lambda: core_nilpotent_parts(D, ctx), 1, 1),
         ("svd+reconstruct", lambda: c_svd(A, ctx).reconstruct(ctx), 4, 4),
         ("hs+reconstruct", lambda: c_hs(A, ctx).reconstruct(ctx), 5, 5),
         ("ergodic_projector", lambda: ergodic_projector(P, ctx), 4, 2),
@@ -501,8 +516,10 @@ def test_real_inputs_agree_with_the_complex_kernels():
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_residuals_equal_a_separate_check(complex_):
-    """Each inverse reuses its operand's transform for the residuals, and
-    they are bit for bit those of the public check on the result."""
+    """Each inverse computes its residuals on first read, from its operands'
+    transforms, bit for bit those of the public check on the result.  A
+    pickled result carries them, read at pickling, in place of the stacks,
+    and equality ignores whether they were read."""
     rng = np.random.default_rng(19)
     ctx = build_context(5)
     A = random_tensor(rng, 3, 4, 5, complex_)
@@ -511,18 +528,61 @@ def test_residuals_equal_a_separate_check(complex_):
     D = index_two_tensor(rng, 4, ctx)
     if complex_:
         D = Tensor3(D.slices * (1 + 1j))
-    for m in MpMethod:
-        T = S if m in (MpMethod.SCHUR, MpMethod.HS) else A
-        res = mp_inverse(T, ctx, m)
-        assert res.residuals == check_penrose(T, res.X, ctx), m
-    for m in DrazinMethod:
-        res = drazin_inverse(D, ctx, m)
-        assert res.k == 2 and res.residuals == check_drazin(D, res.X, 2, ctx), m
-    res = group_inverse(S, ctx)
-    assert res.residuals == check_drazin(S, res.X, 1, ctx)
-    for m in AlongMethod:
-        res = inverse_along(A, G, ctx, m)
-        assert res.residuals == check_along(A, G, res.X, ctx), m
+    mp_operand = {m: S if m in (MpMethod.SCHUR, MpMethod.HS) else A for m in MpMethod}
+    cases = [
+        (m, lambda m=m: mp_inverse(mp_operand[m], ctx, m), lambda X, m=m: check_penrose(mp_operand[m], X, ctx))
+        for m in MpMethod
+    ]
+    cases += [(m, lambda m=m: drazin_inverse(D, ctx, m), lambda X: check_drazin(D, X, 2, ctx)) for m in DrazinMethod]
+    cases += [("group", lambda: group_inverse(S, ctx), lambda X: check_drazin(S, X, 1, ctx))]
+    cases += [(m, lambda m=m: inverse_along(A, G, ctx, m), lambda X: check_along(A, G, X, ctx)) for m in AlongMethod]
+    for label, call, check in cases:
+        res, unread = call(), call()
+        back = pickle.loads(pickle.dumps(res))
+        assert res._residuals_of is None and back._residuals_of is None, label
+        assert back == res == unread and back.k == res.k == unread.k, label
+        assert res.residuals == back.residuals == unread.residuals == check(res.X), label
+    assert drazin_inverse(D, ctx).k == 2
+
+
+def test_concurrent_first_reads_agree():
+    """Threads that read a fresh result's residuals at once all get the
+    residuals of the public check."""
+    rng = np.random.default_rng(22)
+    ctx = build_context(8)
+    A = random_tensor(rng, 4, 4, 8, complex_=True)
+    want = check_penrose(A, mp_inverse(A, ctx).X, ctx)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            res = mp_inverse(A, ctx)
+            got = []
+            threads = [threading.Thread(target=lambda: got.append(res.residuals)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mp_hs_reciprocals_match_the_lu_inverse():
+    """The hs route scales by the reciprocals of Sr's singular values; that
+    gives the bits of the product with Sr's LU inverse."""
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        n, n3, r = int(rng.integers(1, 17)), int(rng.integers(1, 5)), int(rng.integers(1, 17))
+        a = rng.standard_normal((n3, n, r)) @ rng.standard_normal((n3, r, n))
+        if trial % 2:
+            a = a + 1j * (rng.standard_normal((n3, n, r)) @ rng.standard_normal((n3, r, n)))
+        ah = a * 10.0 ** rng.uniform(-8, 8)
+        f = hs_matrix(ah)
+        kl = np.concatenate([f.K, f.L], axis=-1)
+        want = f.U @ _adj(kl) @ inverse_matrix(f.Sr) @ _adj(f.U[..., : f.r])
+        assert np.array_equal(_mp_via_hs(ah, None), want), trial
 
 
 def test_no_repeated_index_or_svd_within_a_route(monkeypatch):
@@ -544,14 +604,13 @@ def test_no_repeated_index_or_svd_within_a_route(monkeypatch):
     D = index_two_tensor(rng, 5, ctx)
     A = equal_rank_tensor(rng, 4, 5, 4, ctx)
     G = equal_rank_tensor(rng, 5, 4, 3, ctx)
-    expected = [
-        # index 2: ranks of A, A^2 and A^3 (3 stacks), then one SVD of A^k
-        (lambda: drazin_inverse(D, ctx, DrazinMethod.CORE_NILPOTENT, 1e-8), 4),
-        # SVD of G-hat and the rank of its leading blocks (existence), the
-        # rank inside the outer inverse, and G-hat^+ in the residuals
-        (lambda: inverse_along(A, G, ctx, AlongMethod.FULL_RANK_OF_G, 1e-8), 4),
-    ]
-    for call, want in expected:
-        counts.clear()
-        call()
-        assert counts["svd"] == want
+    # index 2: ranks of A, A^2 and A^3 (3 stacks), then one SVD of A^k
+    drazin_inverse(D, ctx, DrazinMethod.CORE_NILPOTENT, 1e-8)
+    assert counts["svd"] == 4
+    # SVD of G-hat and the rank of its leading blocks (existence), and the
+    # rank inside the outer inverse; reading the residuals adds G-hat^+
+    counts.clear()
+    res = inverse_along(A, G, ctx, AlongMethod.FULL_RANK_OF_G, 1e-8)
+    assert counts["svd"] == 3
+    res.residuals
+    assert counts["svd"] == 4
