@@ -28,14 +28,16 @@ from .errors import IndexTooLarge, NotInvertibleAlong, ShapeMismatch
 from .kernels import (
     MatrixSvd,
     _adj,
+    _certified_inverse,
     _core_nilpotent,
+    _pinv_from_svd,
+    _uncertified_short,
     drazin_matrix,
     full_rank_matrix,
     hs_matrix,
     index_matrix,
     inverse_matrix,
     leading_block_inverse,
-    numerical_rank,
     pinv_matrix,
     qdr_matrix,
     qr_matrix,
@@ -102,6 +104,11 @@ class GenInvResult:
     G-hat for an inverse along G); the first read releases them.  Equality
     compares ``X`` and ``k`` only, and pickling stores the residuals, read
     first if need be, in place of the stacks.
+
+    ``dataclasses.replace`` of an unread result gives one whose residuals are
+    those of its new ``X``.  A read result no longer holds the stacks, so the
+    residuals of a copy made from it cannot be computed, and reading them
+    raises ValueError; ``check_*`` on the copy's ``X`` gives them.
     """
 
     X: Tensor3
@@ -114,7 +121,13 @@ class GenInvResult:
         those of the matching ``check_*`` call on ``X``."""
         compute = self._residuals_of
         if compute is None:  # a concurrent first read has cached them already
-            return self.__dict__["residuals"]
+            try:
+                return self.__dict__["residuals"]
+            except KeyError:
+                raise ValueError(
+                    "residuals unavailable: this result was copied from one whose residuals"
+                    " were already read, which released its operands; use check_* on its X"
+                ) from None
         residuals = compute(self.X)
         # Cache before releasing the stacks, so a concurrent reader that finds
         # them gone finds the residuals.
@@ -141,9 +154,30 @@ def _outer_inverse(ah: np.ndarray, y: np.ndarray, z: np.ndarray, tol: float | No
     return y @ inverse_matrix(z @ ah @ y, tol) @ z
 
 
+def _mp_slicewise(ah: np.ndarray, tol: float | None) -> np.ndarray:
+    """``pinv_matrix`` of every slice, except that a square slice whose full
+    rank the LU certificate proves takes its LU inverse.
+
+    Uncertified slices have the bits of ``pinv_matrix``.  A certified n x n
+    slice A differs from it by rounding alone: the LU inverse X satisfies
+    ||X - pinv_matrix(A)||_F <= 10 * n * 2**-52 * kappa_F * ||X||_F, with
+    kappa_F = ||A||_F ||X||_F, which the certificate keeps below
+    1e-3 / (n * 2**-52).
+    """
+    if ah.shape[-1] != ah.shape[-2]:
+        return pinv_matrix(ah, tol)
+    X, ok, _ = _certified_inverse(ah, tol)
+    if not ok.all():
+        X[~ok] = pinv_matrix(ah[~ok], tol)
+    return X
+
+
 def _mp_via_svd(ah: np.ndarray, tol: float | None) -> np.ndarray:
+    # Sigma is diagonal, so its pseudoinverse is the reciprocals of the
+    # singular values above the cutoff.
     d = svd_matrix(ah)
-    return d.V @ pinv_matrix(d.sigma(), tol) @ _adj(d.U)
+    k = min(ah.shape[-2:])
+    return _pinv_from_svd(d.U[..., :k], d.s[..., :k], d.V[..., :k], ah.shape[-2:], tol)
 
 
 def _mp_via_qr(ah: np.ndarray, tol: float | None) -> np.ndarray:
@@ -176,7 +210,7 @@ def _mp_via_hs(ah: np.ndarray, tol: float | None) -> np.ndarray:
 
 
 _MP_ROUTES = {
-    MpMethod.SLICEWISE: pinv_matrix,
+    MpMethod.SLICEWISE: _mp_slicewise,
     MpMethod.SVD: _mp_via_svd,
     MpMethod.QR: _mp_via_qr,
     MpMethod.SCHUR: _mp_via_schur,
@@ -311,7 +345,8 @@ def _along_existence(
     singular = []
     for rv in np.unique(r):
         at = np.flatnonzero(r == rv)
-        singular.extend(at[numerical_rank(y[at, :rv, :rv], tol) < rv])
+        block = y[at, :rv, :rv]
+        singular.extend(at[_uncertified_short(block, _certified_inverse(block, tol)[1], tol)])
     if singular:
         raise NotInvertibleAlong(int(min(singular)))
     return d, r, y

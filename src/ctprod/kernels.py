@@ -9,10 +9,17 @@ Schur form is always complex, since a real matrix can have complex
 eigenvalues.  SVD, QR and Schur are backed by LAPACK; rank decisions use a
 cutoff per matrix, max(m, n) * 2**-52 * sigma_max, unless the caller
 supplies a tolerance.
+
+Where full rank is expected (``inverse_matrix``, and in :mod:`ctprod.geninv`
+the default Moore-Penrose route and the existence check of the inverse
+along a tensor), a square matrix is first LU-inverted: when the inverse
+certifies full rank (see ``_certified_inverse``) no SVD is taken, and only
+the matrices it leaves uncertified go to the SVD rank decision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,21 +239,76 @@ def pinv_matrix(A, tol: float | None = None) -> np.ndarray:
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-    cut = default_rank_tol((m, n), s[..., :1]) if tol is None else tol
+    return _pinv_from_svd(U, s, _adj(Vh), (m, n), tol)
+
+
+def _pinv_from_svd(U: np.ndarray, s: np.ndarray, V: np.ndarray, shape: tuple[int, int], tol: float | None) -> np.ndarray:
+    """V diag(1/s) U^H over the singular values above the rank cutoff of an
+    m x n matrix: the Moore-Penrose inverse from its thin SVD U diag(s) V^H."""
+    cut = default_rank_tol(shape, s[..., :1]) if tol is None else tol
     keep = s > cut
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (_adj(Vh) * inv[..., None, :]) @ _adj(U)
+    return (V * inv[..., None, :]) @ _adj(U)
+
+
+# Below this Frobenius norm the squares summed for the norm may underflow;
+# such a matrix is left to the SVD rather than certified.
+_TINY_NORM = 2.0**-500
+
+
+def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray, bool]:
+    """LU inverses X of a square stack, per matrix whether X certifies full
+    rank, and whether X is ``np.linalg.inv(A)`` as a whole.
+
+    1/||X||_F is a lower bound on sigma_min, and max(tol, max(m, n) * 2**-52
+    * ||A||_F) is at least the SVD rank cutoff, so a matrix is certified when
+    1/||X||_F exceeds 1e3 times the latter: the SVD would also call it full
+    rank, with a margin that covers the rounding of X.  When LU finds an
+    exactly zero pivot, ``np.linalg.inv`` raises for the whole stack; then
+    X holds NaN in those matrices and the ``np.linalg.inv`` bits elsewhere,
+    and the flag is False.
+    """
+    whole = True
+    try:
+        X = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        whole = False
+        X = np.full_like(A, np.nan)
+        lu_ok = np.linalg.slogdet(A)[0] != 0
+        X[lu_ok] = np.linalg.inv(A[lu_ok])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a_norm = np.linalg.norm(A, axis=(-2, -1))
+        cut = 1e3 * np.maximum(0.0 if tol is None else tol, A.shape[-1] * EPS * a_norm)
+        ok = (1 / np.linalg.norm(X, axis=(-2, -1)) > cut) & ((a_norm >= _TINY_NORM) | (A.shape[-1] == 0))
+    return X, ok, whole
+
+
+def _uncertified_short(A: np.ndarray, ok: np.ndarray, tol: float | None) -> np.ndarray:
+    """Flat indices of the matrices of a square stack that the certificate
+    ``ok`` left open and whose SVD rank is short of full."""
+    n = A.shape[-1]
+    open_ = np.flatnonzero(~ok)
+    if not open_.size:
+        return open_
+    return open_[numerical_rank(A.reshape(-1, n, n)[open_], tol) < n]
 
 
 def inverse_matrix(A, tol: float | None = None) -> np.ndarray:
     """Inverse of every square matrix of a stack; raises SingularSlice with the
-    flat index of the first matrix whose numerical rank is short of full."""
+    flat index of the first matrix whose numerical rank is short of full.
+
+    The inverse is ``np.linalg.inv``'s.  Full rank is read from the LU
+    certificate where it holds, and from the SVD rank elsewhere.
+    """
     A = _as_stack(A)
     _require_square(A)
-    singular = np.flatnonzero(numerical_rank(A, tol) < A.shape[-1])
+    X, ok, whole = _certified_inverse(A, tol)
+    singular = _uncertified_short(A, ok, tol)
     if singular.size:
         raise SingularSlice(int(singular[0]))
-    return np.linalg.inv(A)
+    # All full rank by the SVD.  Where LU still met a zero pivot, the call
+    # raises its LinAlgError as np.linalg.inv does.
+    return X if whole else np.linalg.inv(A)
 
 
 def qr_matrix(A) -> MatrixQr:
@@ -256,11 +318,36 @@ def qr_matrix(A) -> MatrixQr:
 
 
 def qr_pivoted(A) -> tuple[MatrixQr, np.ndarray]:
-    """Column-pivoted Householder QR: A[..., :, piv] = Q @ R, |R_jj| nonincreasing."""
-    import scipy.linalg  # deferred, so that importing ctprod does not load SciPy
+    """Column-pivoted Householder QR: A[..., :, piv] = Q @ R, |R_jj| nonincreasing.
 
-    Q, R, piv = scipy.linalg.qr(_as_stack(A), mode="full", pivoting=True)
-    return MatrixQr(Q=Q, R=R), piv
+    LAPACK's geqp3 and orgqr/ungqr run on each matrix with workspace sizes
+    queried once per stack; piv is int32.  Raises ValueError on NaN or inf
+    entries, as ``scipy.linalg.qr`` does.
+    """
+    from scipy.linalg import get_lapack_funcs  # deferred, so that importing ctprod does not load SciPy
+
+    A = np.asarray_chkfinite(_as_stack(A))
+    m, n = A.shape[-2:]
+    flat = A.reshape((math.prod(A.shape[:-2]), m, n))
+    Q = np.empty(flat.shape[:-2] + (m, m), dtype=A.dtype)
+    Q[...] = np.eye(m)
+    R = np.zeros_like(flat)
+    piv = np.empty(flat.shape[:-2] + (n,), dtype=np.int32)
+    piv[...] = np.arange(n)
+    if A.size:
+        geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"), (flat,))
+        # Householder vectors and the square Q share one m x max(m, n) buffer.
+        buf = np.zeros((m, max(m, n)), dtype=A.dtype)
+        lw_qp = int(geqp3(flat[0], lwork=-1)[-2][0].real)
+        lw_q = int(orgqr(buf[:, :m], np.zeros(min(m, n), A.dtype), lwork=-1)[-2][0].real)
+        for i, a in enumerate(flat):
+            qr, jpvt, tau = geqp3(a, lwork=lw_qp)[:3]
+            piv[i] = jpvt - 1
+            R[i] = np.triu(qr)
+            buf[:, :n] = qr
+            Q[i] = orgqr(buf[:, :m], tau, lwork=lw_q)[0]
+    shape = A.shape[:-2]
+    return MatrixQr(Q=Q.reshape(shape + (m, m)), R=R.reshape(A.shape)), piv.reshape(shape + (n,))
 
 
 def schur_matrix(A) -> MatrixSchur:

@@ -15,7 +15,13 @@ import numpy as np
 from .errors import ShapeMismatch
 from .kernels import inverse_matrix
 from .tensor import Tensor3, max_abs_diff
-from .transform import TransformContext, tensor_from_transform_slices, transform_slices
+from .transform import (
+    _JOINT_MAP_MIN_N3,
+    TransformContext,
+    _transform_pair,
+    tensor_from_transform_slices,
+    transform_slices,
+)
 
 __all__ = [
     "StructureKind",
@@ -55,8 +61,10 @@ def cprod(A: Tensor3, B: Tensor3, ctx: TransformContext) -> Tensor3:
     Reduces to the plain matrix product when n3 = 1.
     """
     _check_product_dims(A, B)
-    ah = transform_slices(A, ctx)
-    bh = transform_slices(B, ctx)
+    if ctx.n3 >= _JOINT_MAP_MIN_N3:
+        ah, bh = _transform_pair(A, B, ctx)
+    else:
+        ah, bh = transform_slices(A, ctx), transform_slices(B, ctx)
     return tensor_from_transform_slices(ah @ bh, ctx)
 
 

@@ -82,19 +82,21 @@ def transform_stochastic_tensor(rng: np.random.Generator, n: int, ctx: Transform
 
 
 def count_transforms(monkeypatch):
-    """Count calls of the four public transform functions in every ctprod
-    module that holds them."""
+    """Count the forward and inverse transforms done through the four public
+    transform functions and ``_transform_pair`` (two forward transforms per
+    call), in every ctprod module that holds them."""
     counts = Counter()
-    for name, kind in [
-        ("transform_slices", "fwd"),
-        ("to_transform", "fwd"),
-        ("tensor_from_transform_slices", "inv"),
-        ("from_transform", "inv"),
+    for name, kind, n in [
+        ("transform_slices", "fwd", 1),
+        ("to_transform", "fwd", 1),
+        ("_transform_pair", "fwd", 2),
+        ("tensor_from_transform_slices", "inv", 1),
+        ("from_transform", "inv", 1),
     ]:
         fn = getattr(tr, name)
 
-        def counted(*args, _fn=fn, _kind=kind, **kwargs):
-            counts[_kind] += 1
+        def counted(*args, _fn=fn, _kind=kind, _n=n, **kwargs):
+            counts[_kind] += _n
             return _fn(*args, **kwargs)
 
         for mod in list(sys.modules.values()):

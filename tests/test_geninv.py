@@ -1,6 +1,7 @@
 """Generalized inverses: golden problems, route agreement, identities,
 and failure modes."""
 
+import dataclasses
 import pickle
 import sys
 import threading
@@ -40,8 +41,8 @@ from ctprod import (
     tensor_index,
     transform_slices,
 )
-from ctprod.geninv import _mp_via_hs
-from ctprod.kernels import _adj, hs_matrix, inverse_matrix, pinv_matrix
+from ctprod.geninv import _mp_via_hs, _mp_via_svd
+from ctprod.kernels import _adj, hs_matrix, inverse_matrix, pinv_matrix, svd_matrix
 
 import golden
 from helpers import (
@@ -585,6 +586,44 @@ def test_mp_hs_reciprocals_match_the_lu_inverse():
         assert np.array_equal(_mp_via_hs(ah, None), want), trial
 
 
+def test_mp_svd_reciprocals_match_the_pinv_of_sigma():
+    """The svd route scales V by the reciprocals of the singular values above
+    the cutoff; that gives the bits of the product with pinv_matrix(Sigma),
+    a second SVD of a diagonal matrix."""
+    rng = np.random.default_rng(24)
+    for trial in range(600):
+        m, n, n3 = int(rng.integers(1, 10)), int(rng.integers(1, 10)), int(rng.integers(1, 4))
+        r = int(rng.integers(0, min(m, n) + 1))
+        a = rng.standard_normal((n3, m, r)) @ rng.standard_normal((n3, r, n))
+        if trial % 2:
+            a = a + 1j * (rng.standard_normal((n3, m, r)) @ rng.standard_normal((n3, r, n)))
+        ah = a * 10.0 ** rng.choice([-8.0, 0.0, 8.0])
+        tol = None if trial % 4 < 2 else 1e-8 * 10.0 ** rng.choice([-8.0, 0.0, 8.0])
+        d = svd_matrix(ah)
+        want = d.V @ pinv_matrix(d.sigma(), tol) @ _adj(d.U)
+        assert np.array_equal(_mp_via_svd(ah, tol), want), trial
+
+
+def test_replace_before_and_after_reading_the_residuals():
+    """A copy made with dataclasses.replace before the first read computes
+    the residuals of its own X; one made after the read, when the operand
+    stacks are gone, raises ValueError on reading them."""
+    rng = np.random.default_rng(25)
+    ctx = build_context(4)
+    A = random_tensor(rng, 3, 3, 4, complex_=True)
+    other = random_tensor(rng, 3, 3, 4, complex_=True)
+    res = mp_inverse(A, ctx)
+    early = dataclasses.replace(res, X=other)
+    assert early.residuals == check_penrose(A, other, ctx)
+    assert res.residuals == check_penrose(A, res.X, ctx)
+    late = dataclasses.replace(res, X=other)
+    with pytest.raises(ValueError, match="check_"):
+        late.residuals
+    assert res.residuals == check_penrose(A, res.X, ctx)
+    with pytest.raises(ValueError):
+        dataclasses.replace(pickle.loads(pickle.dumps(res))).residuals
+
+
 def test_no_repeated_index_or_svd_within_a_route(monkeypatch):
     """The corenil Drazin route reads the slice indices drazin_inverse
     already found, and the fullrank along route factors G from the SVD of
@@ -607,10 +646,11 @@ def test_no_repeated_index_or_svd_within_a_route(monkeypatch):
     # index 2: ranks of A, A^2 and A^3 (3 stacks), then one SVD of A^k
     drazin_inverse(D, ctx, DrazinMethod.CORE_NILPOTENT, 1e-8)
     assert counts["svd"] == 4
-    # SVD of G-hat and the rank of its leading blocks (existence), and the
-    # rank inside the outer inverse; reading the residuals adds G-hat^+
+    # SVD of G-hat (existence); the LU certificate proves full rank of its
+    # leading blocks and of the outer inverse's core, so neither takes an
+    # SVD; reading the residuals adds G-hat^+
     counts.clear()
     res = inverse_along(A, G, ctx, AlongMethod.FULL_RANK_OF_G, 1e-8)
-    assert counts["svd"] == 3
+    assert counts["svd"] == 1
     res.residuals
-    assert counts["svd"] == 4
+    assert counts["svd"] == 2

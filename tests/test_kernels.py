@@ -118,6 +118,37 @@ def test_qr_pivoted_permutation():
     assert np.all(np.diff(d) <= 1e-12)
 
 
+def test_qr_pivoted_has_the_bits_of_scipy():
+    """The direct LAPACK calls give scipy.linalg.qr(pivoting=True)'s Q, R
+    and piv (int32), bit for bit, on full-rank and rank-deficient stacks,
+    and reject NaN and inf entries as it does."""
+    import scipy.linalg
+
+    rng = np.random.default_rng(15)
+    for trial in range(200):
+        m, n, b = int(rng.integers(1, 10)), int(rng.integers(1, 10)), int(rng.integers(1, 5))
+        a = random_matrix(rng, b * m, n, complex_=bool(trial % 2)).reshape(b, m, n)
+        if trial % 3 == 0:
+            r = int(rng.integers(1, min(m, n) + 1))
+            a = a[..., :r] @ random_matrix(rng, r, n, complex_=False)
+        a = a * 10.0 ** rng.choice([-8.0, 0.0, 8.0])
+        f, piv = qr_pivoted(a)
+        Q, R, P = scipy.linalg.qr(a, mode="full", pivoting=True)
+        assert np.array_equal(f.Q, Q) and np.array_equal(f.R, R) and np.array_equal(piv, P), trial
+        assert piv.dtype == P.dtype == np.int32 and f.Q.dtype == Q.dtype
+    for shape in [(2, 0, 3), (2, 3, 0), (0, 0)]:
+        f, piv = qr_pivoted(np.ones(shape))
+        Q, R, P = scipy.linalg.qr(np.ones(shape), mode="full", pivoting=True)
+        assert np.array_equal(f.Q, Q) and f.R.shape == R.shape and np.array_equal(piv, P)
+    for bad in (np.nan, np.inf):
+        a = np.ones((2, 3, 3), dtype=complex)
+        a[1, 2, 0] = bad
+        with pytest.raises(ValueError):
+            scipy.linalg.qr(a, mode="full", pivoting=True)
+        with pytest.raises(ValueError):
+            qr_pivoted(a)
+
+
 def test_schur_unitary_similarity_and_eigenvalues():
     rng = np.random.default_rng(5)
     # build a matrix with chosen eigenvalues so the Schur diagonal is known

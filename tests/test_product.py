@@ -22,7 +22,11 @@ from ctprod import (
     tensor_inverse,
     tensor_power,
     to_transform,
+    transform_slices,
 )
+import ctprod.product
+import ctprod.transform as tr
+from ctprod.transform import _transform_pair
 
 from helpers import count_transforms, random_tensor
 
@@ -52,6 +56,33 @@ def test_cprod_is_facewise_in_transform_domain():
     lhs = to_transform(cprod(A, B, ctx), ctx)
     rhs = facewise_product(to_transform(A, ctx), to_transform(B, ctx))
     assert max_abs_diff(lhs, rhs) < 1e-12
+
+
+@pytest.mark.parametrize("n3", [9, tr._JOINT_MAP_MIN_N3])
+@pytest.mark.parametrize("complex_a, complex_b", [(False, False), (True, True), (False, True), (True, False)])
+def test_operands_mapped_together_match_separate_transforms(complex_a, complex_b, n3, monkeypatch):
+    """_transform_pair maps both operands in one GEMM when they share a
+    dtype, and in two otherwise; either way each stack is its own forward
+    transform.  cprod uses it from n3 = _JOINT_MAP_MIN_N3 on, and at every
+    n3 does two forward transforms and one inverse."""
+    rng = np.random.default_rng(3)
+    ctx = build_context(n3)
+    A = random_tensor(rng, 2, 3, n3, complex_a)
+    B = random_tensor(rng, 3, 5, n3, complex_b)
+    for got, T in zip(_transform_pair(A, B, ctx), (A, B)):
+        want = transform_slices(T, ctx)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    want = transform_slices(A, ctx) @ transform_slices(B, ctx)
+    counts = count_transforms(monkeypatch)
+    pair = tr._transform_pair
+    paired = []
+    monkeypatch.setattr(ctprod.product, "_transform_pair", lambda *a: paired.append(1) or pair(*a))
+    C = cprod(A, B, ctx)
+    assert (counts["fwd"], counts["inv"]) == (2, 1)
+    assert len(paired) == (n3 >= tr._JOINT_MAP_MIN_N3)
+    got = transform_slices(C, ctx)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_cprod_reduces_to_matmul_at_single_slice():
