@@ -45,7 +45,7 @@ from .kernels import (
     svd_matrix,
 )
 from .tensor import Tensor3
-from .transform import TransformContext, tensor_from_transform_slices, transform_slices
+from .transform import TransformContext, _storage_max_abs, tensor_from_transform_slices, transform_slices
 
 __all__ = [
     "MpMethod",
@@ -401,12 +401,6 @@ def inverse_along(
 def _require_dims(T: Tensor3, dims: tuple[int, int, int], name: str) -> None:
     if T.dims != dims:
         raise ShapeMismatch(f"{name} has dims {T.dims}, expected {dims}")
-
-
-def _storage_max_abs(dh: np.ndarray, ctx: TransformContext) -> float:
-    """Max-abs entry, in storage, of the tensor whose transform slices are dh."""
-    d = tensor_from_transform_slices(dh, ctx).slices
-    return float(np.abs(d).max()) if d.size else 0.0
 
 
 def check_penrose(A: Tensor3, X: Tensor3, ctx: TransformContext) -> dict[str, float]:

@@ -87,11 +87,16 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
     """Parse the text tensor format.
 
     Raises ParseError (with the offending line number) for malformed
-    content, including non-finite entries such as ``nan`` or ``inf``, and
-    DimsMismatch when the payload does not match the declared
-    dimensions.
+    content, including bytes that are not UTF-8 and non-finite entries such
+    as ``nan`` or ``inf``, and DimsMismatch when the payload does not match
+    the declared dimensions.
     """
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    except UnicodeDecodeError as exc:
+        # Number the lines as below; the "x" stands in for the bad byte.
+        ln = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(ln, f"byte {data[exc.start]:#04x} is not valid UTF-8") from None
     lines: list[tuple[int, str]] = []
     total = 0
     for ln, raw in enumerate(text.splitlines(), start=1):

@@ -4,7 +4,8 @@ A transition tensor holds one column-stochastic matrix per frontal slice,
 either directly in storage (raw mode) or in the transform domain (transform
 mode).  The long-run behaviour of the chain is the ergodic projector
 E = I - (I - P) *c (I - P)^#, which the estimators here approach by Cesaro
-averaging, damped powering, or plain powering of P.
+averaging, damped powering, or plain powering of P.  E is computed slice by
+slice on P's transform stack and mapped back to storage once.
 """
 
 from __future__ import annotations
@@ -17,15 +18,8 @@ import numpy as np
 from .errors import InvalidAlpha, NotStochastic, ShapeMismatch
 from .geninv import _group_slices
 from .kernels import EPS
-from .product import cprod, identity_tensor
 from .tensor import Tensor3
-from .transform import (
-    TransformContext,
-    _apply_tube_map,
-    _real_if_exact,
-    tensor_from_transform_slices,
-    transform_slices,
-)
+from .transform import TransformContext, _apply_tube_map, tensor_from_transform_slices, transform_slices
 
 __all__ = [
     "StochasticMode",
@@ -160,31 +154,30 @@ def ergodic_projector(
 ) -> Tensor3:
     """Ergodic projector E = I - (I - P) *c (I - P)^#.
 
-    E is idempotent under *c and satisfies P *c E = E *c P = E.  Raises
+    Each transform slice of E is I - (I - P^)(I - P^)^#, formed on P's
+    transform stack P^; E is that stack mapped back to storage once, so its
+    bits differ from a chain of C-products through storage.  E is
+    idempotent under *c and satisfies P *c E = E *c P = E.  Raises
     IndexTooLarge when I - P has index above 1 (no group inverse).
     """
-    Pt = _as_tensor(P)
-    if tol is None:
-        tol = _projector_tol(transform_slices(Pt, ctx))
-    return _projector(Pt, ctx, tol)
+    return tensor_from_transform_slices(_projector_slices(transform_slices(_as_tensor(P), ctx), tol), ctx)
 
 
-def _projector_tol(ph: np.ndarray) -> float:
-    """The projector's default cutoff, from P's transform stack ph.
+def _projector_slices(ph: np.ndarray, tol: float | None) -> np.ndarray:
+    """Transform slices of the ergodic projector, from P's transform stack ph.
 
-    I - P is formed by cancellation between unit-scale quantities, so rank
-    decisions inside the group inverse must not mistake the leftover
-    roundoff for signal; anchor the cutoff to P's magnitude instead of each
-    slice's own (possibly vanishing) norm.
+    I - P is formed by cancellation between unit-scale quantities, so by
+    default the rank decisions inside the group inverse are anchored to P's
+    magnitude, not to each slice's own (possibly vanishing) norm, lest the
+    leftover roundoff be taken for signal.
     """
-    return EPS**0.75 * (1.0 + float(np.abs(ph).max(initial=0.0)))
-
-
-def _projector(Pt: Tensor3, ctx: TransformContext, tol: float) -> Tensor3:
-    eye = identity_tensor(Pt.n1, ctx)
-    a = eye - Pt
-    sharp = tensor_from_transform_slices(_group_slices(transform_slices(a, ctx), tol)[0], ctx)
-    return eye - cprod(a, sharp, ctx)
+    if ph.shape[1] != ph.shape[2]:
+        raise ShapeMismatch(f"transform slices of shape {ph.shape[1:]} are not square")
+    if tol is None:
+        tol = EPS**0.75 * (1.0 + float(np.abs(ph).max(initial=0.0)))
+    eye = np.eye(ph.shape[1], dtype=ph.dtype)
+    a = eye - ph
+    return eye - a @ _group_slices(a, tol)[0]
 
 
 def limit_estimate(
@@ -202,10 +195,10 @@ def limit_estimate(
     alpha    powers the damped chain (alpha I + (1 - alpha) P)^m,
     power    powers P directly (converges only for regular chains).
 
-    The estimates stay in the transform domain; each step's error is one
-    inverse tube map of the estimate, compared with E in storage.  M is
-    real, so a real chain has real transform slices and a real E, and then
-    the whole loop runs in float64.
+    The estimates and E^ (E's transform slices) stay in the transform
+    domain; each step's error is the max-abs entry of one inverse tube map
+    of est^ - E^.  M is real, so a real chain has real transform slices and
+    a real E, and then the whole loop runs in float64.
     """
     kind = EstimatorKind(kind)
     if steps < 1:
@@ -214,8 +207,7 @@ def limit_estimate(
         raise InvalidAlpha(alpha)
     Pt = _as_tensor(P)
     ph = transform_slices(Pt, ctx)
-    E = _projector(Pt, ctx, _projector_tol(ph) if tol is None else tol)
-    e = _real_if_exact(E.slices)
+    eh = _projector_slices(ph, tol)
     eyeh = np.broadcast_to(np.eye(Pt.n1, dtype=ph.dtype), ph.shape)
     base = alpha * eyeh + (1.0 - alpha) * ph if kind is EstimatorKind.ALPHA else ph
     powh = np.array(eyeh)  # base^0
@@ -229,9 +221,9 @@ def limit_estimate(
         else:
             powh = powh @ base
             est_h = powh
-        errors.append(float(np.abs(_apply_tube_map(ctx.tube_map_inv, est_h) - e).max(initial=0.0)))
+        errors.append(float(np.abs(_apply_tube_map(ctx.tube_map_inv, est_h - eh)).max(initial=0.0)))
     return ErgodicReport(
-        E=E,
+        E=tensor_from_transform_slices(eh, ctx),
         estimates=tuple(enumerate(errors, start=1)),
         kind=kind,
         alpha=alpha if kind is EstimatorKind.ALPHA else None,

@@ -13,11 +13,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import ShapeMismatch
-from .kernels import inverse_matrix
+from .kernels import _adj, inverse_matrix
 from .tensor import Tensor3, max_abs_diff
 from .transform import (
-    _JOINT_MAP_MIN_N3,
     TransformContext,
+    _storage_max_abs,
     _transform_pair,
     tensor_from_transform_slices,
     transform_slices,
@@ -61,10 +61,7 @@ def cprod(A: Tensor3, B: Tensor3, ctx: TransformContext) -> Tensor3:
     Reduces to the plain matrix product when n3 = 1.
     """
     _check_product_dims(A, B)
-    if ctx.n3 >= _JOINT_MAP_MIN_N3:
-        ah, bh = _transform_pair(A, B, ctx)
-    else:
-        ah, bh = transform_slices(A, ctx), transform_slices(B, ctx)
+    ah, bh = _transform_pair(A, B, ctx)
     return tensor_from_transform_slices(ah @ bh, ctx)
 
 
@@ -116,13 +113,17 @@ def _require_square(A: Tensor3) -> None:
 
 
 def is_unitary(A: Tensor3, ctx: TransformContext, tol: float = 1e-8) -> bool:
-    """Whether A^H *c A = A *c A^H = identity within ``tol``."""
+    """Whether A^H *c A = A *c A^H = identity within ``tol``.
+
+    Both products are formed on A's transform stack, where the identity is
+    I in every slice, and each difference is mapped back to storage once.
+    """
     _require_square(A)
-    eye = identity_tensor(A.n1, ctx)
-    ah = conj_transpose(A, ctx)
+    ah = transform_slices(A, ctx)
+    eye = np.eye(A.n1)
     return (
-        max_abs_diff(cprod(ah, A, ctx), eye) <= tol
-        and max_abs_diff(cprod(A, ah, ctx), eye) <= tol
+        _storage_max_abs(_adj(ah) @ ah - eye, ctx) <= tol
+        and _storage_max_abs(ah @ _adj(ah) - eye, ctx) <= tol
     )
 
 

@@ -115,7 +115,7 @@ def _apply_tube_map(T: np.ndarray, slices: np.ndarray) -> np.ndarray:
 
 
 # From this n3 on, the tube map (8 * n3**2 bytes) no longer fits a core's
-# cache, and ``cprod`` maps its operands with ``_transform_pair``.  Below it,
+# cache, and ``_transform_pair`` maps two operands with one GEMM.  Below it,
 # copying two stacks side by side costs more than a second pass over the
 # map: on a 2-core x86-64 host with 2 MB of L2 per core, one GEMM was slower
 # at n3 = 64 and 256, even at 512, and faster at 1024 and 2048.
@@ -125,14 +125,15 @@ _JOINT_MAP_MIN_N3 = 1024
 def _transform_pair(A: Tensor3, B: Tensor3, ctx: TransformContext) -> tuple[np.ndarray, np.ndarray]:
     """:func:`transform_slices` of A and of B: two forward transforms.
 
-    When both stacks are real or both complex, one GEMM maps them side by
-    side, so the tube map is read from memory once instead of twice; for a
-    large n3, reading it is what bounds the product's time.
+    From n3 = _JOINT_MAP_MIN_N3 on, when both stacks are real or both
+    complex, one GEMM maps them side by side, so the tube map is read from
+    memory once instead of twice; for a large n3, reading it is what bounds
+    the product's time.  Otherwise each stack takes its own GEMM.
     """
     _check_n3(A, ctx)
     _check_n3(B, ctx)
     a, b = _real_if_exact(A.slices), _real_if_exact(B.slices)
-    if a.dtype != b.dtype:
+    if ctx.n3 < _JOINT_MAP_MIN_N3 or a.dtype != b.dtype:
         return _apply_tube_map(ctx.tube_map, a), _apply_tube_map(ctx.tube_map, b)
     n3, width = a.shape[0], a[0].size
     both = _apply_tube_map(ctx.tube_map, np.concatenate([a.reshape(n3, width), b.reshape(n3, -1)], axis=1))
@@ -187,6 +188,12 @@ def tensor_from_transform_slices(slices, ctx: TransformContext) -> Tensor3:
             f"expected {ctx.n3} stacked transform slices, got shape {slices.shape}"
         )
     return Tensor3(_apply_tube_map(ctx.tube_map_inv, slices))
+
+
+def _storage_max_abs(dh: np.ndarray, ctx: TransformContext) -> float:
+    """Max-abs entry, in storage, of the tensor whose transform slices are dh."""
+    d = tensor_from_transform_slices(dh, ctx).slices
+    return float(np.abs(d).max()) if d.size else 0.0
 
 
 def mat_embed(A: Tensor3) -> np.ndarray:

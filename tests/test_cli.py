@@ -234,6 +234,14 @@ def test_malformed_file_is_exit_two(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_non_utf8_file_is_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.ct"
+    bad.write_bytes(b"ct-tensor 1\ndims 1 1 1\nfield real\nslice 0\n\xff\n")
+    code, out, err = run(capsys, "pinv", str(bad))
+    assert code == 2 and out == ""
+    assert "line 5" in err and "not valid UTF-8" in err
+
+
 @pytest.mark.parametrize("command", ["pinv", "cprod"])
 @pytest.mark.parametrize("entry", ["nan", "inf", "(1,nan)"])
 def test_non_finite_file_is_exit_two(tmp_path, capsys, command, entry):

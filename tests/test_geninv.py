@@ -32,6 +32,7 @@ from ctprod import (
     ergodic_projector,
     group_inverse,
     inverse_along,
+    is_unitary,
     limit_estimate,
     mat_embed,
     max_abs_diff,
@@ -51,6 +52,7 @@ from helpers import (
     forced_complex,
     index_two_tensor,
     random_tensor,
+    random_unitary,
     transform_stochastic_tensor,
 )
 
@@ -302,6 +304,7 @@ def test_transform_counts(monkeypatch):
     X = random_tensor(rng, 3, 3, 4, complex_=True)
     D = index_two_tensor(rng, 4, ctx)
     P = transform_stochastic_tensor(rng, 3, ctx)
+    U = tensor_from_transform_slices(np.stack([random_unitary(rng, 3) for _ in range(4)]), ctx)
     counts = count_transforms(monkeypatch)
     # Every inverse transforms each operand once and its result back once.
     # The first read of its residuals reuses the operands' stacks, so it adds
@@ -318,20 +321,24 @@ def test_transform_counts(monkeypatch):
         for _ in range(2):
             res.residuals
             assert (counts["fwd"], counts["inv"]) == with_residuals, (label, dict(counts))
-    # The core-nilpotent split, decompositions with their reconstruction, the
-    # ergodic projector, and a limit estimate, which shares P's transform
-    # with its projector.
+    # The core-nilpotent split and the decompositions with their
+    # reconstruction.  The ergodic projector and a limit estimate map P
+    # forward once and E back once.  The unitarity check maps A forward once
+    # and each of its two products back once, the second only when the first
+    # passes.
     routes = [
         ("corenil", lambda: core_nilpotent_parts(D, ctx), 1, 1),
         ("svd+reconstruct", lambda: c_svd(A, ctx).reconstruct(ctx), 4, 4),
         ("hs+reconstruct", lambda: c_hs(A, ctx).reconstruct(ctx), 5, 5),
-        ("ergodic_projector", lambda: ergodic_projector(P, ctx), 4, 2),
-        ("limit_estimate", lambda: limit_estimate(P, ctx, steps=3), 4, 2),
+        ("ergodic_projector", lambda: ergodic_projector(P, ctx), 1, 1),
+        ("limit_estimate", lambda: limit_estimate(P, ctx, steps=3), 1, 1),
+        ("is_unitary", lambda: is_unitary(U, ctx), 1, 2),
+        ("is_unitary:not", lambda: is_unitary(A, ctx), 1, 1),
     ]
     for label, call, fwd, inv in routes:
         counts.clear()
         call()
-        assert counts["fwd"] <= fwd and counts["inv"] <= inv, (label, dict(counts))
+        assert (counts["fwd"], counts["inv"]) == (fwd, inv), (label, dict(counts))
     for check, args, fwd, inv in [
         (check_penrose, (A, X), 2, 4),
         (check_drazin, (A, X, 2), 2, 3),

@@ -127,6 +127,20 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"\xffct-tensor 1\n", 1),
+        (b"ct-tensor 1\r\ndims 1 1 1\r\nfield real\r\nslice 0\r\n1\xff\r\n", 5),
+        (b"ct-tensor 1\ndims 1 1 1\nfield real\n# caf\xe9\nslice 0\n1\n", 4),
+    ],
+)
+def test_parse_error_names_the_line_of_a_non_utf8_byte(data, line):
+    with pytest.raises(ParseError) as info:
+        parse_tensor_file(data)
+    assert info.value.line == line and "not valid UTF-8" in info.value.reason
+
+
 def test_parse_error_on_truncated_header():
     with pytest.raises(ParseError):
         parse_tensor_file("ct-tensor 1\n")

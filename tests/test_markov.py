@@ -25,6 +25,7 @@ from ctprod import (
     validate_transition,
 )
 
+from ctprod.geninv import _group_slices
 from ctprod.kernels import EPS
 
 from helpers import stochastic_matrix, transform_stochastic_tensor
@@ -234,16 +235,48 @@ def test_limit_errors_match_a_storage_recomputation(kind, real):
 
 @pytest.mark.parametrize("tol", [None, 1e-9])
 def test_projector_is_bit_identical_to_the_group_inverse_formula(tol):
+    """E's transform slices are I - A^ A^# with A^ = I - P^, formed on P's
+    transform stack, and E is that stack mapped back once."""
     rng = np.random.default_rng(10)
     for n, n3 in [(4, 3), (6, 8)]:
         ctx = build_context(n3)
         for P in (transform_stochastic_tensor(rng, n, ctx), complex_chain(rng, n, ctx)):
-            eye = identity_tensor(n, ctx)
-            a = eye - P
-            cut = EPS**0.75 * (1.0 + np.abs(transform_slices(P, ctx)).max()) if tol is None else tol
-            want = eye - cprod(a, group_inverse(a, ctx, cut).X, ctx)
+            ph = transform_slices(P, ctx)
+            a = np.eye(n) - ph
+            cut = EPS**0.75 * (1.0 + np.abs(ph).max()) if tol is None else tol
+            want = tensor_from_transform_slices(np.eye(n) - a @ _group_slices(a, cut)[0], ctx)
             assert ergodic_projector(P, ctx, tol) == want
             assert limit_estimate(P, ctx, steps=2, tol=tol).E == want
+
+
+def stationary_projector_slices(ph):
+    """v 1^T for every column-stochastic slice of ph whose eigenvalue 1 is
+    simple: v solves (I - P) v = 0 with 1^T v = 1, the last equation of the
+    first replaced by the second."""
+    n3, n, _ = ph.shape
+    lhs = np.eye(n) - ph
+    lhs[:, -1, :] = 1.0
+    rhs = np.zeros((n3, n, 1), dtype=ph.dtype)
+    rhs[:, -1] = 1.0
+    return np.linalg.solve(lhs, rhs) * np.ones((1, n))
+
+
+@pytest.mark.parametrize("n, n3", [(2, 1), (5, 7), (12, 32), (20, 64)])
+@pytest.mark.parametrize("real", [True, False])
+def test_projector_matches_each_face_stationary_projector(n, n3, real):
+    """Every transform slice of a chain with distinct, strictly positive
+    faces has one stationary vector v, and then E's face is v 1^T."""
+    rng = np.random.default_rng(n * n3)
+    ctx = build_context(n3)
+    if real:
+        P = tensor_from_transform_slices(np.stack([stochastic_matrix(rng, n) for _ in range(n3)]), ctx)
+    else:
+        P = complex_chain(rng, n, ctx)
+    want = stationary_projector_slices(transform_slices(P, ctx))
+    for E in (ergodic_projector(P, ctx), limit_estimate(P, ctx, steps=1).E):
+        got = transform_slices(E, ctx)
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_projector_rejects_index_two():
@@ -253,6 +286,15 @@ def test_projector_rejects_index_two():
     with pytest.raises(IndexTooLarge):
         ergodic_projector(P, ctx)
     with pytest.raises(IndexTooLarge):
+        limit_estimate(P, ctx, steps=2)
+
+
+def test_projector_rejects_non_square_chain():
+    ctx = build_context(3)
+    P = Tensor3(np.full((3, 2, 3), 0.3))
+    with pytest.raises(ShapeMismatch):
+        ergodic_projector(P, ctx)
+    with pytest.raises(ShapeMismatch):
         limit_estimate(P, ctx, steps=2)
 
 

@@ -24,7 +24,6 @@ from ctprod import (
     to_transform,
     transform_slices,
 )
-import ctprod.product
 import ctprod.transform as tr
 from ctprod.transform import _transform_pair
 
@@ -61,10 +60,11 @@ def test_cprod_is_facewise_in_transform_domain():
 @pytest.mark.parametrize("n3", [9, tr._JOINT_MAP_MIN_N3])
 @pytest.mark.parametrize("complex_a, complex_b", [(False, False), (True, True), (False, True), (True, False)])
 def test_operands_mapped_together_match_separate_transforms(complex_a, complex_b, n3, monkeypatch):
-    """_transform_pair maps both operands in one GEMM when they share a
-    dtype, and in two otherwise; either way each stack is its own forward
-    transform.  cprod uses it from n3 = _JOINT_MAP_MIN_N3 on, and at every
-    n3 does two forward transforms and one inverse."""
+    """_transform_pair maps both operands in one GEMM from n3 =
+    _JOINT_MAP_MIN_N3 on when they share a dtype, and in two otherwise;
+    either way each stack is its own forward transform.  cprod maps its
+    operands with it, so at every n3 it does two forward transforms and one
+    inverse, in two GEMMs or three."""
     rng = np.random.default_rng(3)
     ctx = build_context(n3)
     A = random_tensor(rng, 2, 3, n3, complex_a)
@@ -75,12 +75,12 @@ def test_operands_mapped_together_match_separate_transforms(complex_a, complex_b
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
     want = transform_slices(A, ctx) @ transform_slices(B, ctx)
     counts = count_transforms(monkeypatch)
-    pair = tr._transform_pair
-    paired = []
-    monkeypatch.setattr(ctprod.product, "_transform_pair", lambda *a: paired.append(1) or pair(*a))
+    gemm = tr._apply_tube_map
+    gemms = []
+    monkeypatch.setattr(tr, "_apply_tube_map", lambda *a: gemms.append(1) or gemm(*a))
     C = cprod(A, B, ctx)
     assert (counts["fwd"], counts["inv"]) == (2, 1)
-    assert len(paired) == (n3 >= tr._JOINT_MAP_MIN_N3)
+    assert len(gemms) == (2 if n3 >= tr._JOINT_MAP_MIN_N3 and complex_a == complex_b else 3)
     got = transform_slices(C, ctx)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
