@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
 from .kernels import (
     _adj,
     full_rank_matrix,
@@ -25,7 +24,7 @@ from .kernels import (
     schur_matrix,
     svd_matrix,
 )
-from .tensor import Tensor3
+from .tensor import Tensor3, _require_square
 from .transform import TransformContext, tensor_from_transform_slices, transform_slices
 
 __all__ = [
@@ -154,8 +153,7 @@ def c_qr(A: Tensor3, ctx: TransformContext) -> CQr:
 
 def c_schur(A: Tensor3, ctx: TransformContext) -> CSchur:
     """Schur decomposition under the C-product; requires square A."""
-    if A.n1 != A.n2:
-        raise ShapeMismatch(f"dims {A.dims} are not square")
+    _require_square(A)
     f = schur_matrix(transform_slices(A, ctx))
     return CSchur(*_tensors(ctx, f.Q, f.T))
 
@@ -178,7 +176,6 @@ def c_hs(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> CHs:
     Partitions V^H *c U at the shared slice rank r: the top block row gives
     K (r x r x n3) and Lblk (r x (n-r) x n3).  Requires equal slice ranks.
     """
-    if A.n1 != A.n2:
-        raise ShapeMismatch(f"dims {A.dims} are not square")
+    _require_square(A)
     f = hs_matrix(transform_slices(A, ctx), tol)
     return CHs(*_tensors(ctx, f.U, f.Sr, f.K, f.L), r=f.r)

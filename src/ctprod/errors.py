@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CtError",
+    "ShapeMismatch",
+    "SplitOutOfRange",
+    "NotInMatImage",
+    "BlockDiagonalizationFailure",
+    "NonConvergence",
+    "RankMismatch",
+    "SingularSlice",
+    "IndexTooLarge",
+    "NotInvertibleAlong",
+    "NotStochastic",
+    "InvalidAlpha",
+    "ParseError",
+    "DimsMismatch",
+]
+
 
 class CtError(Exception):
     """Base class for all errors raised by this package."""

@@ -44,7 +44,7 @@ from .kernels import (
     schur_matrix,
     svd_matrix,
 )
-from .tensor import Tensor3
+from .tensor import Tensor3, _require_square
 from .transform import TransformContext, _storage_max_abs, tensor_from_transform_slices, transform_slices
 
 __all__ = [
@@ -172,12 +172,17 @@ def _mp_slicewise(ah: np.ndarray, tol: float | None) -> np.ndarray:
     return X
 
 
+def _pinv_of(d: MatrixSvd, tol: float | None) -> np.ndarray:
+    """Moore-Penrose inverses of the matrices factored by the full SVD d, from
+    its thin part.  Sigma is diagonal, so its pseudoinverse is the
+    reciprocals of the singular values above the cutoff."""
+    m, n = d.U.shape[-1], d.V.shape[-1]
+    k = min(m, n)
+    return _pinv_from_svd(d.U[..., :k], d.s, d.V[..., :k], (m, n), tol)
+
+
 def _mp_via_svd(ah: np.ndarray, tol: float | None) -> np.ndarray:
-    # Sigma is diagonal, so its pseudoinverse is the reciprocals of the
-    # singular values above the cutoff.
-    d = svd_matrix(ah)
-    k = min(ah.shape[-2:])
-    return _pinv_from_svd(d.U[..., :k], d.s[..., :k], d.V[..., :k], ah.shape[-2:], tol)
+    return _pinv_of(svd_matrix(ah), tol)
 
 
 def _mp_via_qr(ah: np.ndarray, tol: float | None) -> np.ndarray:
@@ -240,8 +245,7 @@ def mp_inverse(
 
 def tensor_index(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> int:
     """Index of a square tensor: the largest index of any transform slice."""
-    if A.n1 != A.n2:
-        raise ShapeMismatch(f"dims {A.dims} are not square")
+    _require_square(A)
     return int(index_matrix(transform_slices(A, ctx), tol).max())
 
 
@@ -352,19 +356,27 @@ def _along_existence(
     return d, r, y
 
 
-def _along_via_svd(ah: np.ndarray, gh: np.ndarray, tol: float | None) -> np.ndarray:
-    d, r, y = _along_existence(ah, gh, tol)
+# An along route takes the transform stacks of A and G, and the SVD of the
+# G-hat slices, their ranks and V^H A-hat U from the existence check.
+
+
+def _along_via_svd(
+    ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, r: np.ndarray, y: np.ndarray, tol: float | None
+) -> np.ndarray:
     k = min(y.shape[1:])
     return d.U[:, :, :k] @ leading_block_inverse(y[:, :k, :k], r) @ _adj(d.V[:, :, :k])
 
 
-def _along_via_gag(ah: np.ndarray, gh: np.ndarray, tol: float | None) -> np.ndarray:
-    _along_existence(ah, gh, tol)
+def _along_via_gag(
+    ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, r: np.ndarray, y: np.ndarray, tol: float | None
+) -> np.ndarray:
     return gh @ pinv_matrix(gh @ ah @ gh, tol) @ gh
 
 
-def _along_via_full_rank(ah: np.ndarray, gh: np.ndarray, tol: float | None) -> np.ndarray:
-    f = _along_existence(ah, gh, tol)[0].full_rank(tol)
+def _along_via_full_rank(
+    ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, r: np.ndarray, y: np.ndarray, tol: float | None
+) -> np.ndarray:
+    f = d.full_rank(tol)
     return _outer_inverse(ah, f.M, f.N, tol)
 
 
@@ -394,8 +406,9 @@ def inverse_along(
     method = AlongMethod(method)
     ah = transform_slices(A, ctx)
     gh = transform_slices(G, ctx)
-    X = tensor_from_transform_slices(_ALONG_ROUTES[method](ah, gh, tol), ctx)
-    return GenInvResult(X, _residuals_of=lambda X: _along_residuals(ah, gh, transform_slices(X, ctx), ctx))
+    d, r, y = _along_existence(ah, gh, tol)
+    X = tensor_from_transform_slices(_ALONG_ROUTES[method](ah, gh, d, r, y, tol), ctx)
+    return GenInvResult(X, _residuals_of=lambda X: _along_residuals(ah, gh, d, transform_slices(X, ctx), ctx))
 
 
 def _require_dims(T: Tensor3, dims: tuple[int, int, int], name: str) -> None:
@@ -451,11 +464,14 @@ def check_along(A: Tensor3, G: Tensor3, X: Tensor3, ctx: TransformContext) -> di
     """
     _require_dims(G, (A.n2, A.n1, A.n3), "G")
     _require_dims(X, G.dims, "X")
-    return _along_residuals(transform_slices(A, ctx), transform_slices(G, ctx), transform_slices(X, ctx), ctx)
+    gh = transform_slices(G, ctx)
+    return _along_residuals(transform_slices(A, ctx), gh, svd_matrix(gh), transform_slices(X, ctx), ctx)
 
 
-def _along_residuals(ah: np.ndarray, gh: np.ndarray, xh: np.ndarray, ctx: TransformContext) -> dict[str, float]:
-    gdag = pinv_matrix(gh)
+def _along_residuals(
+    ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, xh: np.ndarray, ctx: TransformContext
+) -> dict[str, float]:
+    gdag = _pinv_of(d, None)
     return {
         "xag": _storage_max_abs(xh @ ah @ gh - gh, ctx),
         "gax": _storage_max_abs(gh @ ah @ xh - gh, ctx),

@@ -148,7 +148,9 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
         for t, tok in enumerate(toks):
             parse_entry(tok, row_lines[t // n2])
 
-    slices = np.zeros((n3, n1, n2), dtype=np.complex128)
+    # Slices are kept as they are parsed, so memory follows the file, not
+    # the dims its header declares.
+    faces: list[np.ndarray] = []
     rows = n1 if n1 * n2 > 0 else 0
     for k in range(n3):
         ln, body = payload_line(f"the 'slice {k}' marker")
@@ -166,17 +168,18 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
                     raise DimsMismatch(f"row {i} of slice {k} has {len(row)} entries, expected {n2}")
                 toks += row
                 row_lines.append(ln)
-            slices[k] = _slice_values(toks, real).reshape(n1, n2)
+            face = _slice_values(toks, real).reshape(n1, n2)
         except (DimsMismatch, ValueError):
             # A bad entry is reported ahead of a later row's shape error.
             name_bad_entry(toks, row_lines)
             raise
-        if not np.isfinite(slices[k]).all():
-            i, j = np.argwhere(~np.isfinite(slices[k]))[0]
+        if not np.isfinite(face).all():
+            i, j = np.argwhere(~np.isfinite(face))[0]
             raise ParseError(row_lines[i], f"non-finite entry in column {j + 1}")
+        faces.append(face)
     if pos < len(lines):
         raise ParseError(lines[pos][0], "unexpected content after the last slice")
-    return Tensor3(slices)
+    return Tensor3(faces)
 
 
 def write_tensor_file(A: Tensor3, field: str | None = None) -> bytes:

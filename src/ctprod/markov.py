@@ -18,8 +18,14 @@ import numpy as np
 from .errors import InvalidAlpha, NotStochastic, ShapeMismatch
 from .geninv import _group_slices
 from .kernels import EPS
-from .tensor import Tensor3
-from .transform import TransformContext, _apply_tube_map, tensor_from_transform_slices, transform_slices
+from .tensor import Tensor3, _require_square
+from .transform import (
+    TransformContext,
+    _check_n3,
+    _storage_max_abs,
+    tensor_from_transform_slices,
+    transform_slices,
+)
 
 __all__ = [
     "StochasticMode",
@@ -107,10 +113,8 @@ def validate_transition(
     Raises NotStochastic describing the violations found.
     """
     mode = StochasticMode(mode)
-    if P.n1 != P.n2:
-        raise ShapeMismatch(f"dims {P.dims} are not square")
-    if P.n3 != ctx.n3:
-        raise ShapeMismatch(f"tensor has {P.n3} slices but the transform expects {ctx.n3}")
+    _require_square(P)
+    _check_n3(P, ctx)
     problems = _entry_violations(P.slices, "storage")
     if mode is StochasticMode.RAW:
         problems += _column_sum_violations(P.slices, "storage")
@@ -221,7 +225,7 @@ def limit_estimate(
         else:
             powh = powh @ base
             est_h = powh
-        errors.append(float(np.abs(_apply_tube_map(ctx.tube_map_inv, est_h - eh)).max(initial=0.0)))
+        errors.append(_storage_max_abs(est_h - eh, ctx))
     return ErgodicReport(
         E=tensor_from_transform_slices(eh, ctx),
         estimates=tuple(enumerate(errors, start=1)),
@@ -234,8 +238,7 @@ def is_regular(P: TransitionTensor | Tensor3, ctx: TransformContext, max_power: 
     """Heuristic regularity test: some power of every transform slice is
     entrywise strictly positive (checked up to n^2 powers by default)."""
     Pt = _as_tensor(P)
-    if Pt.n1 != Pt.n2:
-        raise ShapeMismatch(f"dims {Pt.dims} are not square")
+    _require_square(Pt)
     ph = transform_slices(Pt, ctx)
     limit = max_power if max_power is not None else max(Pt.n1 * Pt.n1, 1)
     powh = np.array(ph)

@@ -14,11 +14,12 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .kernels import _adj, inverse_matrix
-from .tensor import Tensor3, max_abs_diff
+from .tensor import Tensor3, _require_square, max_abs_diff
 from .transform import (
     TransformContext,
+    _check_n3,
+    _map,
     _storage_max_abs,
-    _transform_pair,
     tensor_from_transform_slices,
     transform_slices,
 )
@@ -61,7 +62,8 @@ def cprod(A: Tensor3, B: Tensor3, ctx: TransformContext) -> Tensor3:
     Reduces to the plain matrix product when n3 = 1.
     """
     _check_product_dims(A, B)
-    ah, bh = _transform_pair(A, B, ctx)
+    _check_n3(A, ctx)
+    ah, bh = _map(ctx, A.slices, B.slices)
     return tensor_from_transform_slices(ah @ bh, ctx)
 
 
@@ -86,8 +88,7 @@ def conj_transpose(A: Tensor3, ctx: TransformContext) -> Tensor3:
     with conjugating and transposing each slice: the result is the
     conjugate transpose of every storage slice, exact and with no transform.
     """
-    if A.n3 != ctx.n3:
-        raise ShapeMismatch(f"tensor n3={A.n3} does not match context n3={ctx.n3}")
+    _check_n3(A, ctx)
     return Tensor3(A.slices.conj().transpose(0, 2, 1))
 
 
@@ -105,11 +106,6 @@ def structure_of(A: Tensor3, tol: float = 1e-12) -> StructureKind:
     if above <= tol:
         return StructureKind.F_LOWER
     return StructureKind.NONE
-
-
-def _require_square(A: Tensor3) -> None:
-    if A.n1 != A.n2:
-        raise ShapeMismatch(f"dims {A.dims} are not square")
 
 
 def is_unitary(A: Tensor3, ctx: TransformContext, tol: float = 1e-8) -> bool:

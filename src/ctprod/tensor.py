@@ -133,6 +133,11 @@ class Tensor3:
         return f"Tensor3(dims=({n1}, {n2}, {n3}))"
 
 
+def _require_square(A: Tensor3) -> None:
+    if A.n1 != A.n2:
+        raise ShapeMismatch(f"dims {A.dims} are not square")
+
+
 @dataclass(frozen=True)
 class BlockPartition2x2:
     """A tensor split into four blocks at row position s and column position t."""

@@ -97,47 +97,45 @@ def _check_n3(A: Tensor3, ctx: TransformContext) -> None:
         raise ShapeMismatch(f"tensor n3={A.n3} does not match context n3={ctx.n3}")
 
 
-def _apply_tube_map(T: np.ndarray, slices: np.ndarray) -> np.ndarray:
-    """Apply the real n3 x n3 matrix T along axis 0 of a stack.
-
-    A float64 stack gives a float64 result; anything else is taken as
-    complex128, viewed as float64 with real and imaginary parts interleaved
-    along the last axis.  A real T acts on both parts alike, so either way
-    one float64 GEMM does the work with no complex copy of T, and real data
-    keeps imaginary parts exactly zero.
-    """
-    if np.asarray(slices).dtype == np.float64:
-        s = np.ascontiguousarray(slices)
-        return (T @ s.reshape(s.shape[0], -1)).reshape(s.shape)
-    s = np.ascontiguousarray(slices, dtype=np.complex128)
-    flat = s.view(np.float64).reshape(s.shape[0], 2 * s[0].size)
-    return (T @ flat).view(np.complex128).reshape(s.shape)
-
-
 # From this n3 on, the tube map (8 * n3**2 bytes) no longer fits a core's
-# cache, and ``_transform_pair`` maps two operands with one GEMM.  Below it,
+# cache, and ``_map`` maps two stacks of one dtype with one GEMM.  Below it,
 # copying two stacks side by side costs more than a second pass over the
 # map: on a 2-core x86-64 host with 2 MB of L2 per core, one GEMM was slower
 # at n3 = 64 and 256, even at 512, and faster at 1024 and 2048.
 _JOINT_MAP_MIN_N3 = 1024
 
 
-def _transform_pair(A: Tensor3, B: Tensor3, ctx: TransformContext) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`transform_slices` of A and of B: two forward transforms.
+def _map(ctx: TransformContext, *stacks: np.ndarray, inverse: bool = False) -> tuple[np.ndarray, ...]:
+    """M, or M^-1 when ``inverse``, along axis 0 of each stack: one transform
+    per stack, returned in order.  Every tube map of the package runs here.
 
-    From n3 = _JOINT_MAP_MIN_N3 on, when both stacks are real or both
-    complex, one GEMM maps them side by side, so the tube map is read from
-    memory once instead of twice; for a large n3, reading it is what bounds
-    the product's time.  Otherwise each stack takes its own GEMM.
+    A forward map first takes each stack through ``_real_if_exact``.  A
+    float64 stack gives a float64 result; anything else is taken as
+    complex128, viewed as float64 with real and imaginary parts interleaved
+    along the last axis.  A real M acts on both parts alike, so either way
+    one float64 GEMM does the work with no complex copy of M, and real data
+    keeps imaginary parts exactly zero.  From n3 = _JOINT_MAP_MIN_N3 on, two
+    stacks of one dtype share one GEMM, so M is read from memory once
+    instead of twice; for a large n3, reading it is what bounds the time.
     """
-    _check_n3(A, ctx)
-    _check_n3(B, ctx)
-    a, b = _real_if_exact(A.slices), _real_if_exact(B.slices)
-    if ctx.n3 < _JOINT_MAP_MIN_N3 or a.dtype != b.dtype:
-        return _apply_tube_map(ctx.tube_map, a), _apply_tube_map(ctx.tube_map, b)
-    n3, width = a.shape[0], a[0].size
-    both = _apply_tube_map(ctx.tube_map, np.concatenate([a.reshape(n3, width), b.reshape(n3, -1)], axis=1))
-    return both[:, :width].reshape(a.shape), both[:, width:].reshape(b.shape)
+    T = ctx.tube_map_inv if inverse else ctx.tube_map
+    if not inverse:
+        stacks = tuple(map(_real_if_exact, stacks))
+
+    def gemm(s: np.ndarray) -> np.ndarray:
+        if s.dtype == np.float64:
+            s = np.ascontiguousarray(s)
+            return (T @ s.reshape(s.shape[0], -1)).reshape(s.shape)
+        s = np.ascontiguousarray(s, dtype=np.complex128)
+        flat = s.view(np.float64).reshape(s.shape[0], 2 * s[0].size)
+        return (T @ flat).view(np.complex128).reshape(s.shape)
+
+    if len(stacks) == 2 and ctx.n3 >= _JOINT_MAP_MIN_N3 and stacks[0].dtype == stacks[1].dtype:
+        a, b = stacks
+        width = a[0].size
+        both = gemm(np.concatenate([a.reshape(ctx.n3, width), b.reshape(ctx.n3, -1)], axis=1))
+        return both[:, :width].reshape(a.shape), both[:, width:].reshape(b.shape)
+    return tuple(map(gemm, stacks))
 
 
 def _real_if_exact(slices: np.ndarray) -> np.ndarray:
@@ -163,7 +161,7 @@ def to_transform(A: Tensor3, ctx: TransformContext) -> Tensor3:
 def from_transform(Ahat: Tensor3, ctx: TransformContext) -> Tensor3:
     """Inverse transform: the mode-3 product with M^-1."""
     _check_n3(Ahat, ctx)
-    return Tensor3(_apply_tube_map(ctx.tube_map_inv, _real_if_exact(Ahat.slices)))
+    return Tensor3(_map(ctx, _real_if_exact(Ahat.slices), inverse=True)[0])
 
 
 def transform_slices(A: Tensor3, ctx: TransformContext) -> np.ndarray:
@@ -173,7 +171,7 @@ def transform_slices(A: Tensor3, ctx: TransformContext) -> np.ndarray:
     complex128 otherwise.
     """
     _check_n3(A, ctx)
-    return _apply_tube_map(ctx.tube_map, _real_if_exact(A.slices))
+    return _map(ctx, A.slices)[0]
 
 
 def tensor_from_transform_slices(slices, ctx: TransformContext) -> Tensor3:
@@ -187,13 +185,12 @@ def tensor_from_transform_slices(slices, ctx: TransformContext) -> Tensor3:
         raise ShapeMismatch(
             f"expected {ctx.n3} stacked transform slices, got shape {slices.shape}"
         )
-    return Tensor3(_apply_tube_map(ctx.tube_map_inv, slices))
+    return Tensor3(_map(ctx, slices, inverse=True)[0])
 
 
 def _storage_max_abs(dh: np.ndarray, ctx: TransformContext) -> float:
     """Max-abs entry, in storage, of the tensor whose transform slices are dh."""
-    d = tensor_from_transform_slices(dh, ctx).slices
-    return float(np.abs(d).max()) if d.size else 0.0
+    return float(np.abs(_map(ctx, dh, inverse=True)[0]).max(initial=0.0))
 
 
 def mat_embed(A: Tensor3) -> np.ndarray:

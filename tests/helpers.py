@@ -82,26 +82,18 @@ def transform_stochastic_tensor(rng: np.random.Generator, n: int, ctx: Transform
 
 
 def count_transforms(monkeypatch):
-    """Count the forward and inverse transforms done through the four public
-    transform functions and ``_transform_pair`` (two forward transforms per
-    call), in every ctprod module that holds them."""
+    """Count the forward and inverse transforms: one per stack mapped through
+    ``transform._map``, in every ctprod module that holds it."""
     counts = Counter()
-    for name, kind, n in [
-        ("transform_slices", "fwd", 1),
-        ("to_transform", "fwd", 1),
-        ("_transform_pair", "fwd", 2),
-        ("tensor_from_transform_slices", "inv", 1),
-        ("from_transform", "inv", 1),
-    ]:
-        fn = getattr(tr, name)
+    fn = tr._map
 
-        def counted(*args, _fn=fn, _kind=kind, _n=n, **kwargs):
-            counts[_kind] += _n
-            return _fn(*args, **kwargs)
+    def counted(ctx, *stacks, inverse=False):
+        counts["inv" if inverse else "fwd"] += len(stacks)
+        return fn(ctx, *stacks, inverse=inverse)
 
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("ctprod") and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ctprod") and getattr(mod, "_map", None) is fn:
+            monkeypatch.setattr(mod, "_map", counted)
     return counts
 
 

@@ -242,6 +242,14 @@ def test_non_utf8_file_is_exit_two(tmp_path, capsys):
     assert "line 5" in err and "not valid UTF-8" in err
 
 
+def test_oversized_header_dims_are_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.ct"
+    bad.write_text("ct-tensor 1\ndims 100000 100000 100000\nfield real\nslice 0\n1\n")
+    code, out, err = run(capsys, "index", str(bad))
+    assert code == 2 and out == ""
+    assert "row 0 of slice 0 has 1 entries, expected 100000" in err
+
+
 @pytest.mark.parametrize("command", ["pinv", "cprod"])
 @pytest.mark.parametrize("entry", ["nan", "inf", "(1,nan)"])
 def test_non_finite_file_is_exit_two(tmp_path, capsys, command, entry):

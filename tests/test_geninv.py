@@ -323,7 +323,8 @@ def test_transform_counts(monkeypatch):
             assert (counts["fwd"], counts["inv"]) == with_residuals, (label, dict(counts))
     # The core-nilpotent split and the decompositions with their
     # reconstruction.  The ergodic projector and a limit estimate map P
-    # forward once and E back once.  The unitarity check maps A forward once
+    # forward once and E back once; a limit estimate also maps each step's
+    # error back once.  The unitarity check maps A forward once
     # and each of its two products back once, the second only when the first
     # passes.
     routes = [
@@ -331,7 +332,7 @@ def test_transform_counts(monkeypatch):
         ("svd+reconstruct", lambda: c_svd(A, ctx).reconstruct(ctx), 4, 4),
         ("hs+reconstruct", lambda: c_hs(A, ctx).reconstruct(ctx), 5, 5),
         ("ergodic_projector", lambda: ergodic_projector(P, ctx), 1, 1),
-        ("limit_estimate", lambda: limit_estimate(P, ctx, steps=3), 1, 1),
+        ("limit_estimate", lambda: limit_estimate(P, ctx, steps=3), 1, 4),
         ("is_unitary", lambda: is_unitary(U, ctx), 1, 2),
         ("is_unitary:not", lambda: is_unitary(A, ctx), 1, 1),
     ]
@@ -633,8 +634,9 @@ def test_replace_before_and_after_reading_the_residuals():
 
 def test_no_repeated_index_or_svd_within_a_route(monkeypatch):
     """The corenil Drazin route reads the slice indices drazin_inverse
-    already found, and the fullrank along route factors G from the SVD of
-    its existence check; neither runs those singular value stacks again."""
+    already found, and the fullrank along route and its residuals factor G
+    from the SVD of its existence check; neither runs those singular value
+    stacks again."""
     from collections import Counter
 
     counts = Counter()
@@ -655,9 +657,9 @@ def test_no_repeated_index_or_svd_within_a_route(monkeypatch):
     assert counts["svd"] == 4
     # SVD of G-hat (existence); the LU certificate proves full rank of its
     # leading blocks and of the outer inverse's core, so neither takes an
-    # SVD; reading the residuals adds G-hat^+
+    # SVD; reading the residuals takes G-hat^+ from the same SVD
     counts.clear()
     res = inverse_along(A, G, ctx, AlongMethod.FULL_RANK_OF_G, 1e-8)
     assert counts["svd"] == 1
     res.residuals
-    assert counts["svd"] == 2
+    assert counts["svd"] == 1

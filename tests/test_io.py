@@ -161,6 +161,13 @@ def test_payload_shape_mismatches(text):
         parse_tensor_file(text)
 
 
+def test_oversized_header_dims_are_a_dims_mismatch_not_an_allocation():
+    # Memory follows the payload that is there, not the dims the header claims.
+    text = "ct-tensor 1\ndims 100000 100000 100000\nfield real\nslice 0\n1\n"
+    with pytest.raises(DimsMismatch, match="row 0 of slice 0 has 1 entries, expected 100000"):
+        parse_tensor_file(text)
+
+
 def test_parse_preserves_exact_values():
     text = "ct-tensor 1\ndims 1 2 1\nfield real\nslice 0\n0.1 1e308\n"
     A = parse_tensor_file(text)

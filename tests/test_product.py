@@ -1,5 +1,7 @@
 """Ring and involution behavior of the C-product layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from ctprod import (
     transform_slices,
 )
 import ctprod.transform as tr
-from ctprod.transform import _transform_pair
+from ctprod.transform import _map
 
 from helpers import count_transforms, random_tensor
 
@@ -57,30 +59,40 @@ def test_cprod_is_facewise_in_transform_domain():
     assert max_abs_diff(lhs, rhs) < 1e-12
 
 
+class _GemmCounter(np.ndarray):
+    """A tube map that counts the matrix products it takes part in."""
+
+    gemms = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _GemmCounter.gemms += ufunc is np.matmul
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
 @pytest.mark.parametrize("n3", [9, tr._JOINT_MAP_MIN_N3])
 @pytest.mark.parametrize("complex_a, complex_b", [(False, False), (True, True), (False, True), (True, False)])
 def test_operands_mapped_together_match_separate_transforms(complex_a, complex_b, n3, monkeypatch):
-    """_transform_pair maps both operands in one GEMM from n3 =
-    _JOINT_MAP_MIN_N3 on when they share a dtype, and in two otherwise;
-    either way each stack is its own forward transform.  cprod maps its
-    operands with it, so at every n3 it does two forward transforms and one
-    inverse, in two GEMMs or three."""
+    """_map maps two stacks in one GEMM from n3 = _JOINT_MAP_MIN_N3 on when
+    they share a dtype, and in two otherwise; either way each stack is its
+    own forward transform.  cprod maps its operands with it, so at every n3
+    it does two forward transforms and one inverse, in two GEMMs or three."""
     rng = np.random.default_rng(3)
     ctx = build_context(n3)
     A = random_tensor(rng, 2, 3, n3, complex_a)
     B = random_tensor(rng, 3, 5, n3, complex_b)
-    for got, T in zip(_transform_pair(A, B, ctx), (A, B)):
+    for got, T in zip(_map(ctx, A.slices, B.slices), (A, B)):
         want = transform_slices(T, ctx)
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
     want = transform_slices(A, ctx) @ transform_slices(B, ctx)
     counts = count_transforms(monkeypatch)
-    gemm = tr._apply_tube_map
-    gemms = []
-    monkeypatch.setattr(tr, "_apply_tube_map", lambda *a: gemms.append(1) or gemm(*a))
-    C = cprod(A, B, ctx)
+    counting = dataclasses.replace(
+        ctx, tube_map=ctx.tube_map.view(_GemmCounter), tube_map_inv=ctx.tube_map_inv.view(_GemmCounter)
+    )
+    _GemmCounter.gemms = 0
+    C = cprod(A, B, counting)
     assert (counts["fwd"], counts["inv"]) == (2, 1)
-    assert len(gemms) == (2 if n3 >= tr._JOINT_MAP_MIN_N3 and complex_a == complex_b else 3)
+    assert _GemmCounter.gemms == (2 if n3 >= tr._JOINT_MAP_MIN_N3 and complex_a == complex_b else 3)
     got = transform_slices(C, ctx)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 

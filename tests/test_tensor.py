@@ -19,6 +19,19 @@ from ctprod import (
 from helpers import random_tensor
 
 
+def test_package_exports_are_the_union_of_the_module_exports():
+    import ctprod
+    from ctprod import decompositions, errors, geninv, io, markov, product, tensor, transform
+
+    modules = (decompositions, errors, geninv, io, markov, product, tensor, transform)
+    names = [name for mod in modules for name in mod.__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(ctprod.__all__) == sorted(["__version__", *names])
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(ctprod, name) is getattr(mod, name)
+
+
 def test_construction_copies_and_casts():
     src = np.ones((2, 3, 4))
     A = Tensor3(src)

@@ -23,9 +23,9 @@ from ctprod import (
     transform_slices,
     upshift_matrix,
 )
-from ctprod.transform import _apply_tube_map, block_diag_oracle
+from ctprod.transform import _map, block_diag_oracle
 
-from helpers import random_tensor
+from helpers import forced_complex, random_tensor
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -110,9 +110,10 @@ def test_tube_map_keeps_float64_real(dims):
     rng = np.random.default_rng(8)
     ctx = build_context(dims[2])
     A = random_tensor(rng, *dims)
-    for M in (ctx.tube_map, ctx.tube_map_inv):
-        got = _apply_tube_map(M, A.slices.real)
-        want = _apply_tube_map(M, A.slices)
+    for inverse in (False, True):
+        (got,) = _map(ctx, A.slices.real, inverse=inverse)
+        with forced_complex():
+            (want,) = _map(ctx, A.slices, inverse=inverse)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert not np.any(want.imag)
         np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-14 * (1.0 + np.abs(want).max(initial=0.0)))
@@ -129,7 +130,8 @@ def test_real_tensors_transform_in_float64():
     for A in (real, negzero):
         got = transform_slices(A, ctx)
         assert got.dtype == np.float64 and got.flags.c_contiguous
-        want = _apply_tube_map(ctx.tube_map, A.slices)
+        with forced_complex():
+            want = transform_slices(A, ctx)
         np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-14 * np.abs(want).max())
     # Complex data stays complex, also when its first entry is real.
     late = cplx.slices.copy()
