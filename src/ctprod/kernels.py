@@ -331,7 +331,7 @@ def qr_pivoted(A) -> tuple[MatrixQr, np.ndarray]:
     flat = A.reshape((math.prod(A.shape[:-2]), m, n))
     Q = np.empty(flat.shape[:-2] + (m, m), dtype=A.dtype)
     Q[...] = np.eye(m)
-    R = np.zeros_like(flat)
+    R = np.empty_like(flat)
     piv = np.empty(flat.shape[:-2] + (n,), dtype=np.int32)
     piv[...] = np.arange(n)
     if A.size:
@@ -343,9 +343,10 @@ def qr_pivoted(A) -> tuple[MatrixQr, np.ndarray]:
         for i, a in enumerate(flat):
             qr, jpvt, tau = geqp3(a, lwork=lw_qp)[:3]
             piv[i] = jpvt - 1
-            R[i] = np.triu(qr)
+            R[i] = qr
             buf[:, :n] = qr
             Q[i] = orgqr(buf[:, :m], tau, lwork=lw_q)[0]
+        R = np.triu(R)
     shape = A.shape[:-2]
     return MatrixQr(Q=Q.reshape(shape + (m, m)), R=R.reshape(A.shape)), piv.reshape(shape + (n,))
 
