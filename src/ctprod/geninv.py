@@ -24,14 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndexTooLarge, NotInvertibleAlong, ShapeMismatch
+from .errors import IndexTooLarge, NotInvertibleAlong, ShapeMismatch, SingularSlice
 from .kernels import (
     MatrixSvd,
     _adj,
     _certified_inverse,
     _core_nilpotent,
     _pinv_from_svd,
-    _uncertified_short,
     drazin_matrix,
     full_rank_matrix,
     hs_matrix,
@@ -166,7 +165,7 @@ def _mp_slicewise(ah: np.ndarray, tol: float | None) -> np.ndarray:
     """
     if ah.shape[-1] != ah.shape[-2]:
         return pinv_matrix(ah, tol)
-    X, ok, _ = _certified_inverse(ah, tol)
+    X, ok = _certified_inverse(ah, tol)
     if not ok.all():
         X[~ok] = pinv_matrix(ah[~ok], tol)
     return X
@@ -265,7 +264,8 @@ def _drazin_via_qdr(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray
 
 def _drazin_via_core_nilpotent(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
     f = _core_nilpotent(ah, ks, tol)
-    return f.P @ leading_block_inverse(f.F, f.r) @ np.linalg.inv(f.P)
+    # Once r = rank(A^k), the core block and P are invertible; tol, A's cutoff, judges neither.
+    return f.P @ leading_block_inverse(f.F, f.r) @ inverse_matrix(f.P)
 
 
 def _drazin_via_hs(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
@@ -337,44 +337,36 @@ def core_nilpotent_parts(
     return CoreNilpotentParts(coreC=coreC, nilN=A - coreC, k=k)
 
 
-def _along_existence(
-    ah: np.ndarray, gh: np.ndarray, tol: float | None
-) -> tuple[MatrixSvd, np.ndarray, np.ndarray]:
-    """SVD factors of the G-hat slices, their ranks r, and V^H A-hat U per
-    slice.  Raises NotInvertibleAlong at the first slice whose leading r x r
-    block of V^H A-hat U is singular (the inverse along G then does not exist)."""
+def _along_existence(ah: np.ndarray, gh: np.ndarray, tol: float | None) -> tuple[MatrixSvd, np.ndarray]:
+    """SVD factors of the G-hat slices, and per slice the inverse of the
+    leading r x r block of V^H A-hat U, with r the slice's rank, zero-padded
+    to k x k for k = min(n1, n2) (see :func:`leading_block_inverse`).  Raises
+    NotInvertibleAlong at the first slice whose block has no inverse (the
+    inverse along G then does not exist)."""
     d = svd_matrix(gh)
-    r = d.rank(tol)
     y = _adj(d.V) @ ah @ d.U
-    singular = []
-    for rv in np.unique(r):
-        at = np.flatnonzero(r == rv)
-        block = y[at, :rv, :rv]
-        singular.extend(at[_uncertified_short(block, _certified_inverse(block, tol)[1], tol)])
-    if singular:
-        raise NotInvertibleAlong(int(min(singular)))
-    return d, r, y
-
-
-# An along route takes the transform stacks of A and G, and the SVD of the
-# G-hat slices, their ranks and V^H A-hat U from the existence check.
-
-
-def _along_via_svd(
-    ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, r: np.ndarray, y: np.ndarray, tol: float | None
-) -> np.ndarray:
     k = min(y.shape[1:])
-    return d.U[:, :, :k] @ leading_block_inverse(y[:, :k, :k], r) @ _adj(d.V[:, :, :k])
+    try:
+        return d, leading_block_inverse(y[:, :k, :k], d.rank(tol), tol)
+    except SingularSlice as exc:
+        raise NotInvertibleAlong(exc.slice_index) from None
 
 
-def _along_via_gag(
-    ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, r: np.ndarray, y: np.ndarray, tol: float | None
-) -> np.ndarray:
+# An along route takes the transform stacks of A and G, and from the existence
+# check the SVD of the G-hat slices and the inverses of their leading blocks.
+
+
+def _along_via_svd(ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, yinv: np.ndarray, tol: float | None) -> np.ndarray:
+    k = yinv.shape[-1]
+    return d.U[:, :, :k] @ yinv @ _adj(d.V[:, :, :k])
+
+
+def _along_via_gag(ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, yinv: np.ndarray, tol: float | None) -> np.ndarray:
     return gh @ pinv_matrix(gh @ ah @ gh, tol) @ gh
 
 
 def _along_via_full_rank(
-    ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, r: np.ndarray, y: np.ndarray, tol: float | None
+    ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, yinv: np.ndarray, tol: float | None
 ) -> np.ndarray:
     f = d.full_rank(tol)
     return _outer_inverse(ah, f.M, f.N, tol)
@@ -406,8 +398,8 @@ def inverse_along(
     method = AlongMethod(method)
     ah = transform_slices(A, ctx)
     gh = transform_slices(G, ctx)
-    d, r, y = _along_existence(ah, gh, tol)
-    X = tensor_from_transform_slices(_ALONG_ROUTES[method](ah, gh, d, r, y, tol), ctx)
+    d, yinv = _along_existence(ah, gh, tol)
+    X = tensor_from_transform_slices(_ALONG_ROUTES[method](ah, gh, d, yinv, tol), ctx)
     return GenInvResult(X, _residuals_of=lambda X: _along_residuals(ah, gh, d, transform_slices(X, ctx), ctx))
 
 

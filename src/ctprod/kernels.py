@@ -10,11 +10,15 @@ eigenvalues.  SVD, QR and Schur are backed by LAPACK; rank decisions use a
 cutoff per matrix, max(m, n) * 2**-52 * sigma_max, unless the caller
 supplies a tolerance.
 
-Where full rank is expected (``inverse_matrix``, and in :mod:`ctprod.geninv`
-the default Moore-Penrose route and the existence check of the inverse
-along a tensor), a square matrix is first LU-inverted: when the inverse
-certifies full rank (see ``_certified_inverse``) no SVD is taken, and only
-the matrices it leaves uncertified go to the SVD rank decision.
+``inverse_matrix`` is the one test of whether a square matrix has an
+inverse: every square inversion here and in :mod:`ctprod.geninv` goes
+through it, among them ``leading_block_inverse``, ``drazin_matrix`` at
+index 0 and the existence check of the inverse along a tensor.  It
+LU-inverts first, and when the inverse certifies full rank (see
+``_certified_inverse``) no SVD is taken; an uncertified matrix has an
+inverse when its SVD rank is full and its LU inverse is finite.  The
+default Moore-Penrose route of :mod:`ctprod.geninv` uses the same
+certificate and leaves the uncertified slices to ``pinv_matrix``.
 """
 
 from __future__ import annotations
@@ -256,23 +260,21 @@ def _pinv_from_svd(U: np.ndarray, s: np.ndarray, V: np.ndarray, shape: tuple[int
 _TINY_NORM = 2.0**-500
 
 
-def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray, bool]:
-    """LU inverses X of a square stack, per matrix whether X certifies full
-    rank, and whether X is ``np.linalg.inv(A)`` as a whole.
+def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """LU inverses X of a square stack, and per matrix whether X certifies
+    full rank.
 
     1/||X||_F is a lower bound on sigma_min, and max(tol, max(m, n) * 2**-52
     * ||A||_F) is at least the SVD rank cutoff, so a matrix is certified when
     1/||X||_F exceeds 1e3 times the latter: the SVD would also call it full
     rank, with a margin that covers the rounding of X.  When LU finds an
     exactly zero pivot, ``np.linalg.inv`` raises for the whole stack; then
-    X holds NaN in those matrices and the ``np.linalg.inv`` bits elsewhere,
-    and the flag is False.
+    X holds NaN in those matrices, which are uncertified, and the
+    ``np.linalg.inv`` bits elsewhere.
     """
-    whole = True
     try:
         X = np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        whole = False
         X = np.full_like(A, np.nan)
         lu_ok = np.linalg.slogdet(A)[0] != 0
         X[lu_ok] = np.linalg.inv(A[lu_ok])
@@ -280,35 +282,25 @@ def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np
         a_norm = np.linalg.norm(A, axis=(-2, -1))
         cut = 1e3 * np.maximum(0.0 if tol is None else tol, A.shape[-1] * EPS * a_norm)
         ok = (1 / np.linalg.norm(X, axis=(-2, -1)) > cut) & ((a_norm >= _TINY_NORM) | (A.shape[-1] == 0))
-    return X, ok, whole
-
-
-def _uncertified_short(A: np.ndarray, ok: np.ndarray, tol: float | None) -> np.ndarray:
-    """Flat indices of the matrices of a square stack that the certificate
-    ``ok`` left open and whose SVD rank is short of full."""
-    n = A.shape[-1]
-    open_ = np.flatnonzero(~ok)
-    if not open_.size:
-        return open_
-    return open_[numerical_rank(A.reshape(-1, n, n)[open_], tol) < n]
+    return X, ok
 
 
 def inverse_matrix(A, tol: float | None = None) -> np.ndarray:
-    """Inverse of every square matrix of a stack; raises SingularSlice with the
-    flat index of the first matrix whose numerical rank is short of full.
-
-    The inverse is ``np.linalg.inv``'s.  Full rank is read from the LU
-    certificate where it holds, and from the SVD rank elsewhere.
-    """
+    """Inverse of every square matrix of a stack, ``np.linalg.inv``'s; raises
+    SingularSlice with the flat index of the first matrix that has none.  A
+    matrix the LU certificate leaves open has none when its SVD rank is short
+    of full or its LU inverse is not finite (a zero pivot or an overflow)."""
     A = _as_stack(A)
     _require_square(A)
-    X, ok, whole = _certified_inverse(A, tol)
-    singular = _uncertified_short(A, ok, tol)
-    if singular.size:
-        raise SingularSlice(int(singular[0]))
-    # All full rank by the SVD.  Where LU still met a zero pivot, the call
-    # raises its LinAlgError as np.linalg.inv does.
-    return X if whole else np.linalg.inv(A)
+    X, ok = _certified_inverse(A, tol)
+    n = A.shape[-1]
+    open_ = np.flatnonzero(~ok)
+    if open_.size:
+        finite = np.isfinite(X.reshape(-1, n, n)[open_]).all(axis=(-2, -1))
+        singular = open_[(numerical_rank(A.reshape(-1, n, n)[open_], tol) < n) | ~finite]
+        if singular.size:
+            raise SingularSlice(int(singular[0]))
+    return X
 
 
 def qr_matrix(A) -> MatrixQr:
@@ -437,7 +429,10 @@ def drazin_matrix(A, tol: float | None = None) -> np.ndarray:
     for e in map(int, np.unique(k)):
         at = k == e
         if e == 0:
-            X[at] = np.linalg.inv(A[at])
+            try:
+                X[at] = inverse_matrix(A[at], tol)
+            except SingularSlice as exc:
+                raise SingularSlice(np.flatnonzero(at)[exc.slice_index]) from None
         else:
             B = np.linalg.matrix_power(A[at], e)
             X[at] = B @ pinv_matrix(np.linalg.matrix_power(A[at], 2 * e + 1), tol) @ B
@@ -470,11 +465,24 @@ def _core_nilpotent(A: np.ndarray, k: np.ndarray, tol: float | None) -> MatrixCo
     return MatrixCoreNilpotent(P=P, F=np.linalg.solve(P, A @ P), r=r, k=k)
 
 
-def leading_block_inverse(A, r) -> np.ndarray:
-    """Per square matrix of a stack, the inverse of its leading r x r block,
-    zero-padded to the matrix's shape; r holds one value per matrix."""
+def leading_block_inverse(A, r, tol: float | None = None) -> np.ndarray:
+    """Per square matrix of a stack, the :func:`inverse_matrix` of its leading
+    r x r block, zero-padded to the matrix's shape; r holds one value per
+    matrix.  Raises SingularSlice with the smallest flat index of a matrix
+    whose block has no inverse."""
     A = _as_stack(A)
     _require_square(A)
-    core = np.arange(A.shape[-1]) < np.asarray(r)[..., None]
-    both = core[..., :, None] & core[..., None, :]
-    return np.linalg.inv(np.where(both, A, np.eye(A.shape[-1]))) * both
+    n = A.shape[-1]
+    r = np.broadcast_to(r, A.shape[:-2]).ravel()
+    X = np.zeros(A.shape, dtype=A.dtype)
+    blocks, inverses = A.reshape((r.size, n, n)), X.reshape((r.size, n, n))
+    singular = []
+    for rv in np.unique(r):
+        at = np.flatnonzero(r == rv)
+        try:
+            inverses[at, :rv, :rv] = inverse_matrix(blocks[at, :rv, :rv], tol)
+        except SingularSlice as exc:
+            singular.append(at[exc.slice_index])
+    if singular:
+        raise SingularSlice(min(singular))
+    return X

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from ctprod import (
+    AlongMethod,
+    DrazinMethod,
+    MpMethod,
     Tensor3,
     build_context,
     check_penrose,
@@ -277,6 +280,36 @@ def test_shape_mismatch_is_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "cprod", write(tmp_path, "a.ct", A), write(tmp_path, "b.ct", B))
     assert code == 1
     assert "cannot multiply" in err
+
+
+def test_singular_blocks_are_exit_codes_not_exceptions(tmp_path, capsys):
+    """Every inverse route, the index and every factorization, at the default
+    cutoff and at --tol 0, on inputs whose square blocks are exactly
+    singular, zero, empty or nilpotent: main() returns 0, 1 or 2 and never
+    raises, and every failure is one error line."""
+    nilpotent = np.zeros((2, 2, 2))
+    nilpotent[:, 0, 1] = [1.0, 2.0]
+    pairs = [
+        (np.array([[[1.0, 2.0], [2.0, 4.0]]]), 1e300 * np.array([[[1.5, 0.5], [0.5, 1.5]]])),
+        (np.zeros((4, 3, 3)), None),
+        (np.zeros((3, 0, 0)), None),
+        (nilpotent, None),
+    ]
+    commands = []
+    for i, (a, g) in enumerate(pairs):
+        a = write(tmp_path, f"a{i}.ct", Tensor3(a))
+        g = a if g is None else write(tmp_path, f"g{i}.ct", Tensor3(g))
+        for tol in ([], ["--tol", "0"]):
+            commands += [["pinv", a, "--method", m.value, *tol] for m in MpMethod]
+            commands += [["drazin", a, "--method", m.value, *tol] for m in DrazinMethod]
+            commands += [["group", a, *tol], ["index", a, *tol]]
+            commands += [["decomp", a, "--kind", k, *tol] for k in ["svd", "qr", "schur", "fullrank", "qdr", "hs", "corenil"]]
+            commands += [["along", a, g, "--method", m.value, *tol] for m in AlongMethod]
+    assert len(commands) == 184
+    for command in commands:
+        code, _, err = run(capsys, *command)
+        assert code in (0, 1, 2), command
+        assert code == 0 or err.startswith("error: ") and err.count("\n") == 1, command
 
 
 def test_usage_errors_exit_two(capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from ctprod import (
     AlongMethod,
+    CtError,
     DrazinMethod,
     IndexTooLarge,
     MpMethod,
@@ -41,7 +42,9 @@ from ctprod import (
     tensor_from_transform_slices,
     tensor_index,
     transform_slices,
+    write_tensor_file,
 )
+from ctprod.cli import main
 from ctprod.geninv import _mp_via_hs, _mp_via_svd
 from ctprod.kernels import _adj, hs_matrix, inverse_matrix, pinv_matrix, svd_matrix
 
@@ -261,6 +264,40 @@ def test_along_existence_checked_for_every_method(method):
     G = tensor_from_transform_slices(ghat, ctx)
     with pytest.raises(NotInvertibleAlong):
         inverse_along(A, G, ctx, method)
+
+
+def test_corenil_raises_or_is_accurate_at_the_default_cutoff(tmp_path, capsys):
+    """At the default cutoff, roundoff in the transform slices of this
+    index-2 tensor sways the rank of A^k, and the core-nilpotent route
+    meets singular blocks: it raises a CtError, which the CLI reports on
+    one error line, or its answer holds the Drazin identities."""
+    ctx = build_context(32)
+    A = index_two_tensor(np.random.default_rng(270), 5, ctx)
+    path = tmp_path / "d.ct"
+    path.write_bytes(write_tensor_file(A))
+    code = main(["drazin", str(path), "--method", "corenil"])
+    out, err = capsys.readouterr()
+    try:
+        res = drazin_inverse(A, ctx, DrazinMethod.CORE_NILPOTENT)
+    except CtError as exc:
+        assert code == 1 and err.splitlines() == [f"error: {exc}"]
+    else:
+        assert max(res.residuals.values()) <= 1e-8
+        assert code == 0 and out.encode() == write_tensor_file(res.X)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corenil_basis_is_inverted_at_its_own_scale(seed):
+    """At a cutoff of about 1, every rank decision on a 1e3-scaled index-2
+    tensor is right, while P = [U_r | V_null] has sigma_max <= sqrt(2): the
+    absolute cutoff must not be what decides whether P has an inverse."""
+    ctx = build_context(4)
+    A = Tensor3(1e3 * index_two_tensor(np.random.default_rng(seed), 5, ctx).slices)
+    ref = drazin_inverse(A, ctx, DrazinMethod.CORE_NILPOTENT, 1e-3)
+    for tol in (1.0, 0.1):
+        res = drazin_inverse(A, ctx, DrazinMethod.CORE_NILPOTENT, tol)
+        np.testing.assert_array_equal(res.X.slices, ref.X.slices)
+        assert res.k == 2 and max(res.residuals.values()) <= 1e-6
 
 
 def test_along_shape_mismatch():

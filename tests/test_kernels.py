@@ -327,7 +327,40 @@ def test_leading_block_inverse_matches_each_block():
     for a, g, r in zip(stack, got, ranks):
         want = np.zeros((4, 4), dtype=complex)
         want[:r, :r] = np.linalg.inv(a[:r, :r])
-        np.testing.assert_allclose(g, want, atol=1e-13)
+        np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize("tol", [None, 0.0])
+def test_leading_block_inverse_names_the_first_singular_block(tol):
+    """Singular blocks in two rank groups: the error names the smallest flat
+    index, not the first one met group by group."""
+    rng = np.random.default_rng(15)
+    stack = np.stack([random_matrix(rng, 4, 4) + 3 * np.eye(4) for _ in range(6)])
+    ranks = np.array([3, 2, 3, 2, 4, 2])
+    stack[2, :3, :3] = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]  # rank 2, the second block of rank group 3
+    stack[5, :2, :2] = [[1, 2], [2, 4]]  # the last block of rank group 2
+    with pytest.raises(SingularSlice) as err:
+        leading_block_inverse(stack, ranks, tol)
+    assert err.value.slice_index == 2
+    stack[2] = 3 * np.eye(4)
+    with pytest.raises(SingularSlice) as err:
+        leading_block_inverse(stack, ranks, tol)
+    assert err.value.slice_index == 5
+
+
+def test_an_exactly_singular_matrix_is_a_singular_slice_at_any_cutoff():
+    """LU meets an exactly zero pivot; at --tol 0 the SVD may still count
+    full rank, so the non-finite LU inverse decides."""
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for tol in (None, 0.0, 1e-300):
+        with pytest.raises(SingularSlice) as err:
+            inverse_matrix(singular, tol)
+        assert err.value.slice_index == 0
+    # At tol 0 the SVD gives the matrix index 0, so the Drazin kernel inverts
+    # it, and the error names its place in the stack.
+    with pytest.raises(SingularSlice) as err:
+        drazin_matrix(np.stack([np.eye(2), singular]), 0.0)
+    assert err.value.slice_index == 1
 
 
 def test_hs_and_inverse_of_a_stack_match_each_matrix():
