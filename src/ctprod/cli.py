@@ -76,204 +76,143 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_tolerance, default=None, help="rank tolerance override")
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """The arguments of one ``add_argument`` call."""
+    return flags, kwargs
 
 
-def _add_common(p: argparse.ArgumentParser, *, output: bool = True) -> None:
-    _add_tol(p)
-    if output:
-        p.add_argument("-o", "--output", default=None, help="write the result here instead of stdout")
+def _method(default, flag: str = "--method") -> tuple[tuple[str, ...], dict]:
+    """A choice among the values of ``default``'s enum."""
+    return _arg(flag, choices=[m.value for m in type(default)], default=default.value)
+
+
+_A = _arg("a")
+_TOL = _arg("--tol", type=_tolerance, help="rank tolerance override")
+_OUT = _arg("-o", "--output", help="write the result here instead of stdout")
+
+# kind -> (factorization, {file name: field}, the note on stderr or None)
+_FACTORS = {
+    "svd": (lambda A, ctx, tol: c_svd(A, ctx), {"U": "U", "S": "S", "V": "V"}, None),
+    "qr": (lambda A, ctx, tol: c_qr(A, ctx), {"Q": "Q", "R": "R"}, None),
+    "schur": (lambda A, ctx, tol: c_schur(A, ctx), {"Q": "Q", "T": "T"}, None),
+    "fullrank": (c_full_rank, {"M": "Mfac", "N": "Nfac"}, "# rank {0.r}"),
+    "qdr": (c_qdr, {"Q": "Q", "D": "D", "R": "R"}, "# rank {0.r}"),
+    "hs": (c_hs, {"U": "U", "Sr": "Sr", "K": "K", "L": "Lblk"}, "# rank {0.r}"),
+    "corenil": (core_nilpotent_parts, {"C": "coreC", "N": "nilN"}, "# index {0.k}"),
+}
+
+# relation -> (its files, residuals(ctx, tol, *tensors))
+_RELATIONS = {
+    "mp": ("A X", lambda ctx, tol, A, X: check_penrose(A, X, ctx)),
+    "drazin": ("A X", lambda ctx, tol, A, X: check_drazin(A, X, tensor_index(A, ctx, tol), ctx)),
+    "along": ("A G X", lambda ctx, tol, A, G, X: check_along(A, G, X, ctx)),
+}
+
+
+def _indexed(res) -> Tensor3:
+    print(f"# index {res.k}", file=sys.stderr)
+    return res.X
+
+
+def _decomp(args, ctx, A) -> None:
+    factor, fields, note = _FACTORS[args.kind]
+    d = factor(A, ctx, args.tol)
+    if note:
+        print(note.format(d), file=sys.stderr)
+    for name, field in fields.items():
+        data = write_tensor_file(getattr(d, field))
+        if args.output:
+            Path(f"{args.output}.{name}.ct").write_bytes(data)
+        else:
+            sys.stdout.write(f"# factor {name}\n" + data.decode("ascii"))
+
+
+def _markov(args, ctx, P) -> Tensor3:
+    tt = validate_transition(P, ctx, args.mode)
+    if not args.estimator:
+        return ergodic_projector(tt, ctx, args.tol)
+    report = limit_estimate(tt, ctx, args.estimator, args.steps, args.alpha, args.tol)
+    for m, err in report.estimates:
+        print(f"# step {m} err {format_float(err)}", file=sys.stderr)
+    return report.E
+
+
+def _check(args, ctx, *tensors) -> None:
+    for label, value in _RELATIONS[args.relation][1](ctx, args.tol, *tensors).items():
+        print(f"{label} {format_float(value)}")
+
+
+# name -> (help, its arguments in order, run).  The positional arguments name
+# the operand files, and run(args, ctx, *operands) returns the tensor to emit,
+# or None when it writes its own output.
+_COMMANDS = {
+    "cprod": ("multiply two tensors",
+              [_A, _arg("b"), _TOL, _OUT],
+              lambda args, ctx, A, B: cprod(A, B, ctx)),
+    "pinv": ("Moore-Penrose inverse",
+             [_A, _method(MpMethod.SLICEWISE), _TOL, _OUT],
+             lambda args, ctx, A: mp_inverse(A, ctx, args.method, args.tol).X),
+    "drazin": ("Drazin inverse",
+               [_A, _method(DrazinMethod.POWER), _TOL, _OUT],
+               lambda args, ctx, A: _indexed(drazin_inverse(A, ctx, args.method, args.tol))),
+    "group": ("group inverse (requires index <= 1)",
+              [_A, _TOL, _OUT],
+              lambda args, ctx, A: _indexed(group_inverse(A, ctx, args.tol))),
+    "along": ("inverse of the first tensor along the second",
+              [_A, _arg("g"), _method(AlongMethod.SVD_OF_G), _TOL, _OUT],
+              lambda args, ctx, A, G: inverse_along(A, G, ctx, args.method, args.tol).X),
+    "index": ("print the tensor index",
+              [_A, _TOL],
+              lambda args, ctx, A: print(tensor_index(A, ctx, args.tol))),
+    "decomp": ("factor a tensor",
+               [_A, _arg("--kind", required=True, choices=list(_FACTORS)), _TOL,
+                _arg("-o", "--output", help="prefix: each factor goes to PREFIX.<name>.ct instead of stdout")],
+               _decomp),
+    "markov": ("ergodic projector of a transition tensor",
+               [_arg("p"),
+                _method(StochasticMode.TRANSFORM, "--mode"),
+                _arg("--estimator", choices=[k.value for k in EstimatorKind],
+                     help="also run this estimator, reporting per-step errors on stderr"),
+                _arg("--steps", type=_positive_int, default=1000),
+                _arg("--alpha", type=float, default=0.5),
+                _TOL, _OUT],
+               _markov),
+    "check": ("report residuals of an inverse relation",
+              [_arg("files", nargs="+", metavar="FILE"),
+               _arg("--relation", choices=list(_RELATIONS), required=True), _TOL],
+              _check),
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
     state between calls."""
-    parser = argparse.ArgumentParser(
-        prog="ctprod", description="Tensor algebra under the C-product."
-    )
+    parser = argparse.ArgumentParser(prog="ctprod", description="Tensor algebra under the C-product.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cprod", help="multiply two tensors")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_common(p)
-
-    p = sub.add_parser("pinv", help="Moore-Penrose inverse")
-    p.add_argument("a")
-    p.add_argument("--method", choices=[m.value for m in MpMethod], default=MpMethod.SLICEWISE.value)
-    _add_common(p)
-
-    p = sub.add_parser("drazin", help="Drazin inverse")
-    p.add_argument("a")
-    p.add_argument("--method", choices=[m.value for m in DrazinMethod], default=DrazinMethod.POWER.value)
-    _add_common(p)
-
-    p = sub.add_parser("group", help="group inverse (requires index <= 1)")
-    p.add_argument("a")
-    _add_common(p)
-
-    p = sub.add_parser("along", help="inverse of the first tensor along the second")
-    p.add_argument("a")
-    p.add_argument("g")
-    p.add_argument("--method", choices=[m.value for m in AlongMethod], default=AlongMethod.SVD_OF_G.value)
-    _add_common(p)
-
-    p = sub.add_parser("index", help="print the tensor index")
-    p.add_argument("a")
-    _add_common(p, output=False)
-
-    p = sub.add_parser("decomp", help="factor a tensor")
-    p.add_argument("a")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["svd", "qr", "schur", "fullrank", "qdr", "hs", "corenil"],
-    )
-    _add_tol(p)
-    p.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="prefix: each factor goes to PREFIX.<name>.ct instead of stdout",
-    )
-
-    p = sub.add_parser("markov", help="ergodic projector of a transition tensor")
-    p.add_argument("p")
-    p.add_argument("--mode", choices=[m.value for m in StochasticMode], default=StochasticMode.TRANSFORM.value)
-    p.add_argument(
-        "--estimator",
-        choices=[k.value for k in EstimatorKind],
-        default=None,
-        help="also run this estimator, reporting per-step errors on stderr",
-    )
-    p.add_argument("--steps", type=_positive_int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.5)
-    _add_common(p)
-
-    p = sub.add_parser("check", help="report residuals of an inverse relation")
-    p.add_argument("files", nargs="+", metavar="FILE")
-    p.add_argument("--relation", choices=["mp", "drazin", "along"], required=True)
-    _add_tol(p)
-
+    for name, (help_, arguments, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(run=run, operands=[flags[0] for flags, _ in arguments if not flags[0].startswith("-")])
     return parser
 
 
-def _factors(kind: str, A: Tensor3, ctx, tol):
-    if kind == "svd":
-        d = c_svd(A, ctx)
-        return [("U", d.U), ("S", d.S), ("V", d.V)], []
-    if kind == "qr":
-        d = c_qr(A, ctx)
-        return [("Q", d.Q), ("R", d.R)], []
-    if kind == "schur":
-        d = c_schur(A, ctx)
-        return [("Q", d.Q), ("T", d.T)], []
-    if kind == "fullrank":
-        d = c_full_rank(A, ctx, tol)
-        return [("M", d.Mfac), ("N", d.Nfac)], [f"# rank {d.r}"]
-    if kind == "qdr":
-        d = c_qdr(A, ctx, tol)
-        return [("Q", d.Q), ("D", d.D), ("R", d.R)], [f"# rank {d.r}"]
-    if kind == "hs":
-        d = c_hs(A, ctx, tol)
-        return [("U", d.U), ("Sr", d.Sr), ("K", d.K), ("L", d.Lblk)], [f"# rank {d.r}"]
-    d = core_nilpotent_parts(A, ctx, tol)
-    return [("C", d.coreC), ("N", d.nilN)], [f"# index {d.k}"]
-
-
 def _dispatch(args: argparse.Namespace) -> int:
-    cmd = args.command
-
-    if cmd == "cprod":
-        A = _read(args.a)
-        B = _read(args.b)
-        _emit(cprod(A, B, build_context(A.n3)), args.output)
-        return 0
-
-    if cmd == "pinv":
-        A = _read(args.a)
-        res = mp_inverse(A, build_context(A.n3), args.method, args.tol)
-        _emit(res.X, args.output)
-        return 0
-
-    if cmd == "drazin":
-        A = _read(args.a)
-        res = drazin_inverse(A, build_context(A.n3), args.method, args.tol)
-        print(f"# index {res.k}", file=sys.stderr)
-        _emit(res.X, args.output)
-        return 0
-
-    if cmd == "group":
-        A = _read(args.a)
-        res = group_inverse(A, build_context(A.n3), args.tol)
-        print(f"# index {res.k}", file=sys.stderr)
-        _emit(res.X, args.output)
-        return 0
-
-    if cmd == "along":
-        A = _read(args.a)
-        G = _read(args.g)
-        res = inverse_along(A, G, build_context(A.n3), args.method, args.tol)
-        _emit(res.X, args.output)
-        return 0
-
-    if cmd == "index":
-        A = _read(args.a)
-        print(tensor_index(A, build_context(A.n3), args.tol))
-        return 0
-
-    if cmd == "decomp":
-        A = _read(args.a)
-        factors, notes = _factors(args.kind, A, build_context(A.n3), args.tol)
-        for note in notes:
-            print(note, file=sys.stderr)
-        if args.output:
-            for name, T in factors:
-                Path(f"{args.output}.{name}.ct").write_bytes(write_tensor_file(T))
-        else:
-            for name, T in factors:
-                sys.stdout.write(f"# factor {name}\n")
-                sys.stdout.write(write_tensor_file(T).decode("ascii"))
-        return 0
-
-    if cmd == "markov":
-        P = _read(args.p)
-        ctx = build_context(P.n3)
-        tt = validate_transition(P, ctx, args.mode)
-        if args.estimator:
-            report = limit_estimate(tt, ctx, args.estimator, args.steps, args.alpha, args.tol)
-            for m, err in report.estimates:
-                print(f"# step {m} err {format_float(err)}", file=sys.stderr)
-            E = report.E
-        else:
-            E = ergodic_projector(tt, ctx, args.tol)
-        _emit(E, args.output)
-        return 0
-
-    # check
-    expected = {"mp": 2, "drazin": 2, "along": 3}[args.relation]
-    if len(args.files) != expected:
-        names = {"mp": "A X", "drazin": "A X", "along": "A G X"}[args.relation]
-        print(
-            f"error: --relation {args.relation} takes {expected} files ({names}), "
-            f"got {len(args.files)}",
-            file=sys.stderr,
-        )
-        return 2
-    tensors = [_read(f) for f in args.files]
-    ctx = build_context(tensors[0].n3)
-    if args.relation == "mp":
-        residuals = check_penrose(tensors[0], tensors[1], ctx)
-    elif args.relation == "drazin":
-        k = tensor_index(tensors[0], ctx, args.tol)
-        residuals = check_drazin(tensors[0], tensors[1], k, ctx)
-    else:
-        residuals = check_along(tensors[0], tensors[1], tensors[2], ctx)
-    for label, value in residuals.items():
-        print(f"{label} {format_float(value)}")
+    if args.command == "check":
+        names = _RELATIONS[args.relation][0]
+        if len(args.files) != len(names.split()):
+            print(f"error: --relation {args.relation} takes {len(names.split())} files ({names}), "
+                  f"got {len(args.files)}", file=sys.stderr)
+            return 2
+    tensors = []
+    for name in args.operands:
+        paths = getattr(args, name)
+        tensors += map(_read, paths if isinstance(paths, list) else [paths])
+    result = args.run(args, build_context(tensors[0].n3), *tensors)
+    if result is not None:
+        _emit(result, args.output)
     return 0
 
 

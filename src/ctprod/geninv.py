@@ -31,7 +31,6 @@ from .kernels import (
     _certified_inverse,
     _core_nilpotent,
     _pinv_from_svd,
-    drazin_matrix,
     full_rank_matrix,
     hs_matrix,
     index_matrix,
@@ -270,7 +269,10 @@ def _drazin_via_core_nilpotent(ah: np.ndarray, k: int, ks, tol: float | None) ->
 
 def _drazin_via_hs(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
     f = hs_matrix(ah, tol)
-    gd = drazin_matrix(f.Sr @ f.K, tol)
+    srk = f.Sr @ f.K
+    # The tensor Drazin inverse of Sr *c K, at the tensor index: a per-slice
+    # index (drazin_matrix) reads some singular slices as index 0.
+    gd = _drazin_via_power(srk, int(index_matrix(srk, tol).max()), None, tol)
     return f.U[..., : f.r] @ np.concatenate([gd, gd @ gd @ f.Sr @ f.L], axis=-1) @ _adj(f.U)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: happy paths, exit codes, and determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -9,9 +10,12 @@ import numpy as np
 import pytest
 
 from ctprod import (
+    __version__,
     AlongMethod,
     DrazinMethod,
+    EstimatorKind,
     MpMethod,
+    StochasticMode,
     Tensor3,
     build_context,
     check_penrose,
@@ -22,7 +26,7 @@ from ctprod import (
     tensor_from_transform_slices,
     write_tensor_file,
 )
-from ctprod.cli import _build_parser, main
+from ctprod.cli import _build_parser, _positive_int, _tolerance, main
 
 from helpers import count_transforms, index_two_tensor, random_tensor, stochastic_matrix
 
@@ -365,3 +369,89 @@ def test_scipy_stays_unloaded_on_the_default_paths(tmp_path):
         timeout=60,
     )
     assert res.returncode == 0, res.stderr
+
+
+def _spelled_out_parser():
+    """The CLI's parser spelled out argument by argument, each subcommand's
+    arguments in their declared order."""
+    parser = argparse.ArgumentParser(prog="ctprod", description="Tensor algebra under the C-product.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    tol = dict(type=_tolerance, default=None, help="rank tolerance override")
+    output = dict(default=None, help="write the result here instead of stdout")
+
+    p = sub.add_parser("cprod", help="multiply two tensors")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("--tol", **tol)
+    p.add_argument("-o", "--output", **output)
+
+    p = sub.add_parser("pinv", help="Moore-Penrose inverse")
+    p.add_argument("a")
+    p.add_argument("--method", choices=[m.value for m in MpMethod], default=MpMethod.SLICEWISE.value)
+    p.add_argument("--tol", **tol)
+    p.add_argument("-o", "--output", **output)
+
+    p = sub.add_parser("drazin", help="Drazin inverse")
+    p.add_argument("a")
+    p.add_argument("--method", choices=[m.value for m in DrazinMethod], default=DrazinMethod.POWER.value)
+    p.add_argument("--tol", **tol)
+    p.add_argument("-o", "--output", **output)
+
+    p = sub.add_parser("group", help="group inverse (requires index <= 1)")
+    p.add_argument("a")
+    p.add_argument("--tol", **tol)
+    p.add_argument("-o", "--output", **output)
+
+    p = sub.add_parser("along", help="inverse of the first tensor along the second")
+    p.add_argument("a")
+    p.add_argument("g")
+    p.add_argument("--method", choices=[m.value for m in AlongMethod], default=AlongMethod.SVD_OF_G.value)
+    p.add_argument("--tol", **tol)
+    p.add_argument("-o", "--output", **output)
+
+    p = sub.add_parser("index", help="print the tensor index")
+    p.add_argument("a")
+    p.add_argument("--tol", **tol)
+
+    p = sub.add_parser("decomp", help="factor a tensor")
+    p.add_argument("a")
+    p.add_argument("--kind", required=True, choices=["svd", "qr", "schur", "fullrank", "qdr", "hs", "corenil"])
+    p.add_argument("--tol", **tol)
+    p.add_argument(
+        "-o", "--output", default=None, help="prefix: each factor goes to PREFIX.<name>.ct instead of stdout"
+    )
+
+    p = sub.add_parser("markov", help="ergodic projector of a transition tensor")
+    p.add_argument("p")
+    p.add_argument("--mode", choices=[m.value for m in StochasticMode], default=StochasticMode.TRANSFORM.value)
+    p.add_argument(
+        "--estimator",
+        choices=[k.value for k in EstimatorKind],
+        default=None,
+        help="also run this estimator, reporting per-step errors on stderr",
+    )
+    p.add_argument("--steps", type=_positive_int, default=1000)
+    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--tol", **tol)
+    p.add_argument("-o", "--output", **output)
+
+    p = sub.add_parser("check", help="report residuals of an inverse relation")
+    p.add_argument("files", nargs="+", metavar="FILE")
+    p.add_argument("--relation", choices=["mp", "drazin", "along"], required=True)
+    p.add_argument("--tol", **tol)
+    return parser
+
+
+@pytest.mark.parametrize(
+    "command", [None, "cprod", "pinv", "drazin", "group", "along", "index", "decomp", "markov", "check"]
+)
+def test_help_text_is_pinned(capsys, command):
+    """--help prints, for the top level and every subcommand, exactly what the
+    spelled-out parser prints: same usage line, arguments, order and help."""
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit):
+        _spelled_out_parser().parse_args(argv)
+    expected = capsys.readouterr().out
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")

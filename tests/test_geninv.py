@@ -46,7 +46,7 @@ from ctprod import (
 )
 from ctprod.cli import main
 from ctprod.geninv import _mp_via_hs, _mp_via_svd
-from ctprod.kernels import _adj, hs_matrix, inverse_matrix, pinv_matrix, svd_matrix
+from ctprod.kernels import _adj, drazin_matrix, hs_matrix, inverse_matrix, pinv_matrix, svd_matrix
 
 import golden
 from helpers import (
@@ -418,6 +418,38 @@ def test_drazin_hs_at_the_default_cutoff():
     assert max_abs_diff(res.X, drazin_inverse(D, ctx).X) < 1e-10
 
 
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_drazin_hs_takes_the_tensor_index_of_sr_k(seed):
+    # Sr *c K has index 1 here.  Taken per slice at the default cutoff, its
+    # index read 0 on some singular slices, which were then "inverted": the
+    # residuals were about 7e43, 1e43 and 3e43.
+    ctx = build_context(32)
+    A = index_two_tensor(np.random.default_rng(seed), 4, ctx)
+    assert max(drazin_inverse(A, ctx, DrazinMethod.HS).residuals.values()) <= 1e-6
+
+
+def test_drazin_hs_keeps_the_answers_a_per_slice_index_got_right():
+    """Wherever the hs route with a per-slice Drazin inverse of Sr *c K is
+    correct, the route with the tensor index is correct too."""
+    ctx = build_context(32)
+    right = 0
+    for n in (4, 5, 6, 8):
+        for seed in range(40):
+            A = index_two_tensor(np.random.default_rng(seed), n, ctx)
+            try:
+                f = hs_matrix(transform_slices(A, ctx))
+            except CtError:
+                continue
+            gd = drazin_matrix(f.Sr @ f.K)
+            xh = f.U[..., : f.r] @ np.concatenate([gd, gd @ gd @ f.Sr @ f.L], axis=-1) @ _adj(f.U)
+            per_slice = tensor_from_transform_slices(xh, ctx)
+            if max(check_drazin(A, per_slice, 2, ctx).values()) > 1e-6:
+                continue
+            right += 1
+            assert max(drazin_inverse(A, ctx, DrazinMethod.HS).residuals.values()) <= 1e-6, (n, seed)
+    assert right == 34
+
+
 @pytest.mark.parametrize(
     "check,dims",
     [
@@ -545,9 +577,7 @@ def test_real_inputs_agree_with_the_complex_kernels():
         assert not np.any(T.slices.imag) and transform_slices(T, ctx).dtype == np.float64
     calls = {f"mp:{m.value}": lambda m=m: mp_inverse(sq, ctx, m) for m in MpMethod}
     calls.update({f"mp:{m.value}:rect": lambda m=m: mp_inverse(rect, ctx, m) for m in RECT_MP_METHODS})
-    # An explicit cutoff for Drazin: at the per-slice default, the hs route
-    # misjudges this input's index on either path (residuals of about 1e41).
-    calls.update({f"drazin:{m.value}": lambda m=m: drazin_inverse(D, ctx, m, 1e-8) for m in DrazinMethod})
+    calls.update({f"drazin:{m.value}": lambda m=m: drazin_inverse(D, ctx, m) for m in DrazinMethod})
     calls.update({f"along:{m.value}": lambda m=m: inverse_along(A, G, ctx, m) for m in AlongMethod})
     calls["group"] = lambda: group_inverse(sq, ctx)
     for label, call in calls.items():
