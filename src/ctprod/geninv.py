@@ -421,14 +421,16 @@ def check_penrose(A: Tensor3, X: Tensor3, ctx: TransformContext) -> dict[str, fl
 
 
 def _penrose_residuals(ah: np.ndarray, xh: np.ndarray, ctx: TransformContext) -> dict[str, float]:
-    axh = ah @ xh
-    xah = xh @ ah
-    return {
-        "axa": _storage_max_abs(axh @ ah - ah, ctx),
-        "xax": _storage_max_abs(xah @ xh - xh, ctx),
-        "ax_hermitian": _storage_max_abs(axh - _adj(axh), ctx),
-        "xa_hermitian": _storage_max_abs(xah - _adj(xah), ctx),
-    }
+    # A product that overflows makes its residual read inf, with no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        axh = ah @ xh
+        xah = xh @ ah
+        return {
+            "axa": _storage_max_abs(axh @ ah - ah, ctx),
+            "xax": _storage_max_abs(xah @ xh - xh, ctx),
+            "ax_hermitian": _storage_max_abs(axh - _adj(axh), ctx),
+            "xa_hermitian": _storage_max_abs(xah - _adj(xah), ctx),
+        }
 
 
 def check_drazin(A: Tensor3, X: Tensor3, k: int, ctx: TransformContext) -> dict[str, float]:
@@ -439,13 +441,14 @@ def check_drazin(A: Tensor3, X: Tensor3, k: int, ctx: TransformContext) -> dict[
 
 
 def _drazin_residuals(ah: np.ndarray, xh: np.ndarray, k: int, ctx: TransformContext) -> dict[str, float]:
-    akh = np.linalg.matrix_power(ah, k)
-    xah = xh @ ah
-    return {
-        "power": _storage_max_abs(akh @ ah @ xh - akh, ctx),
-        "xax": _storage_max_abs(xah @ xh - xh, ctx),
-        "commute": _storage_max_abs(ah @ xh - xah, ctx),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        akh = np.linalg.matrix_power(ah, k)
+        xah = xh @ ah
+        return {
+            "power": _storage_max_abs(akh @ ah @ xh - akh, ctx),
+            "xax": _storage_max_abs(xah @ xh - xh, ctx),
+            "commute": _storage_max_abs(ah @ xh - xah, ctx),
+        }
 
 
 def check_along(A: Tensor3, G: Tensor3, X: Tensor3, ctx: TransformContext) -> dict[str, float]:
@@ -466,9 +469,10 @@ def _along_residuals(
     ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, xh: np.ndarray, ctx: TransformContext
 ) -> dict[str, float]:
     gdag = _pinv_of(d, None)
-    return {
-        "xag": _storage_max_abs(xh @ ah @ gh - gh, ctx),
-        "gax": _storage_max_abs(gh @ ah @ xh - gh, ctx),
-        "witness_u": _storage_max_abs(gh @ (gdag @ xh) - xh, ctx),
-        "witness_v": _storage_max_abs((xh @ gdag) @ gh - xh, ctx),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {
+            "xag": _storage_max_abs(xh @ ah @ gh - gh, ctx),
+            "gax": _storage_max_abs(gh @ ah @ xh - gh, ctx),
+            "witness_u": _storage_max_abs(gh @ (gdag @ xh) - xh, ctx),
+            "witness_v": _storage_max_abs((xh @ gdag) @ gh - xh, ctx),
+        }

@@ -40,9 +40,13 @@ def dct_matrix(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ShapeMismatch("n must be at least 1")
+    # The formula's arithmetic, entry for entry, on one n x n buffer.
     k = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-    C = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+    C = np.multiply(np.pi * k, 2 * j + 1)
+    C /= 2 * n
+    np.cos(C, out=C)
+    C *= np.sqrt(2.0 / n)
     C[0] /= np.sqrt(2.0)
     return C
 
@@ -70,6 +74,10 @@ class TransformContext:
     tube_map_inv : ndarray
         M^-1: the closed form (I + Z)^-1 C^T W, refined by one Newton step so
         that it inverts the rounded M to its last bits.
+
+    :func:`build_context` forms M in C's buffer and M^-1 in that of C^T W,
+    both C-contiguous; besides them it allocates one float32 n3 x n3
+    residual for the Newton step (half of M's bytes) and blocks of 256 rows.
     """
 
     n3: int
@@ -78,14 +86,22 @@ class TransformContext:
     tube_map_inv: np.ndarray
 
 
+# Rows per block of the context build's n3 x n3 passes, so that a temporary
+# holds one block of rows instead of a whole n3 x n3 matrix.
+_BUILD_ROWS = 256
+
+
 def build_context(n3: int) -> TransformContext:
     """Build the :class:`TransformContext` for third dimension n3 >= 1."""
     # C (I + Z) without the dense product: Z shifts C's columns right by one.
-    # Built in C's own buffer (numpy buffers the overlapping operand).
+    # Built in C's own buffer, a block of rows at a time, so that numpy
+    # buffers only one block of the overlapping operand.
     M = dct_matrix(n3)
     w = M[:, 0].copy()
     X = np.multiply(M.T, w, order="C")
-    M[:, 1:] += M[:, :-1]
+    for r in range(0, n3, _BUILD_ROWS):
+        block = M[r : r + _BUILD_ROWS]
+        block[:, 1:] += block[:, :-1]
     M /= w[:, None]
     # M^-1 = (I + Z)^-1 C^T W, O(n3^2): (I + Z)^-1 is upper triangular with
     # entries (-1)^(j-i), so from the bottom up each row of C^T W takes away
@@ -102,20 +118,25 @@ def _newton_step(M: np.ndarray, X: np.ndarray) -> None:
     """X += X (I - M X), in place: X inverts the rounded M to its last bits.
 
     I - M X cancels to the size of M's rounding (1e-10 at n3 = 2048), so it
-    is formed in float64, 256 rows at a time, while the correction, at most
-    1e-13, is formed in float32.  Its operands and product share one float32
-    workspace: as three separate arrays, they stayed resident once freed and
-    raised the peak RSS.
+    is formed in float64, _BUILD_ROWS rows at a time in one reused block,
+    and stored as one float32 n3 x n3 matrix R (half of M's bytes); the
+    correction X R, at most 1e-13, is formed in float32 a block of rows at
+    a time and added to those rows of X.
     """
-    n, rows = M.shape[0], 256
-    work = np.empty((3, n, n), dtype=np.float32)
-    R, X32, P = work
+    n = M.shape[0]
+    rows = min(n, _BUILD_ROWS)
+    R = np.empty((n, n), dtype=np.float32)
+    block = np.empty((rows, n))
     for r in range(0, n, rows):
-        MX = M[r : r + rows] @ X
-        R[r : r + rows] = np.eye(*MX.shape, r) - MX
-    X32[...] = X
-    np.matmul(X32, R, out=P)
-    X += P
+        MX = block[: n - r]
+        np.matmul(M[r : r + rows], X, out=MX)
+        np.negative(MX, out=MX)
+        # 1 - (M X)_ii on the diagonal (entry (i, r + i) of the block), so
+        # that R holds the entries of I - M X bit for bit.
+        MX.reshape(-1)[r :: n + 1] += 1.0
+        R[r : r + rows] = MX
+    for r in range(0, n, rows):
+        X[r : r + rows] += X[r : r + rows].astype(np.float32) @ R
 
 
 def _check_n3(A: Tensor3, ctx: TransformContext) -> None:
@@ -215,8 +236,13 @@ def tensor_from_transform_slices(slices, ctx: TransformContext) -> Tensor3:
 
 
 def _storage_max_abs(dh: np.ndarray, ctx: TransformContext) -> float:
-    """Max-abs entry, in storage, of the tensor whose transform slices are dh."""
-    return float(np.abs(_map(ctx, dh, inverse=True)[0]).max(initial=0.0))
+    """Max-abs entry, in storage, of the tensor whose transform slices are dh.
+
+    inf when an entry is NaN: the map takes the inf entries of an overflowed
+    dh to inf - inf wherever it mixes them with opposite signs.
+    """
+    m = float(np.abs(_map(ctx, dh, inverse=True)[0]).max(initial=0.0))
+    return np.inf if np.isnan(m) else m
 
 
 def mat_embed(A: Tensor3) -> np.ndarray:

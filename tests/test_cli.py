@@ -212,6 +212,22 @@ def test_check_mp(square, tmp_path, capsys):
     assert all(float(v) < 1e-10 for v in lines.values())
 
 
+@pytest.mark.parametrize("n3", [1, 4])
+@pytest.mark.parametrize(
+    "relation,count,overflowed", [("mp", 2, {"xax"}), ("drazin", 2, {"xax"}), ("along", 3, {"xag", "gax"})]
+)
+def test_check_overflow_reads_inf_with_nothing_on_stderr(tmp_path, capsys, relation, count, overflowed, n3):
+    # G = X = 1e300 A: the products through X twice overflow float64.  At
+    # n3 > 1 the inverse map mixes their inf entries, which must not read NaN.
+    A = random_tensor(np.random.default_rng(0), 2, 2, n3)
+    g = write(tmp_path, "g.ct", Tensor3(A.slices * 1e300))
+    code, out, err = run(capsys, "check", write(tmp_path, "a.ct", A), *[g] * (count - 1), "--relation", relation)
+    assert code == 0 and err == ""
+    lines = {label: float(value) for label, value in (l.split() for l in out.splitlines())}
+    assert {label for label, value in lines.items() if value == np.inf} == overflowed
+    assert all(np.isfinite(lines[label]) for label in lines.keys() - overflowed)
+
+
 @pytest.mark.parametrize("relation,count", [("mp", 2), ("drazin", 2), ("along", 3)])
 def test_check_shape_mismatch_is_domain_error(tmp_path, capsys, relation, count):
     path = write(tmp_path, "a.ct", random_tensor(np.random.default_rng(5), 3, 5, 4))

@@ -1,5 +1,7 @@
 """Transform family, block embedding, and the diagonalization oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -63,11 +65,18 @@ def test_tube_map_closed_form():
 
 @pytest.mark.parametrize("n3", [1, 2, 5, 15, 24, 54, 64, 1024, 2048])
 def test_tube_map_is_bit_identical_to_the_separate_buffer_build(n3):
-    # M = W^-1 C (I + Z) formed from an untouched copy of C: the context
-    # builds it in C's own buffer and must give the same bits.  M^-1 comes
-    # from the closed form and one Newton step, and inverts that rounded M
-    # on both sides (np.linalg.inv(M) is off by 4e-14 on the left at 2048).
-    C = dct_matrix(n3)
+    # C from the paper's formula as written, the way the benchmark's
+    # reference builds it: dct_matrix builds it in place and must give the
+    # same bits.  M = W^-1 C (I + Z) formed from an untouched copy of C: the
+    # context builds it in C's own buffer and must give the same bits.  M^-1
+    # comes from the closed form and one Newton step, and inverts that
+    # rounded M on both sides (np.linalg.inv(M) is off by 4e-14 on the left
+    # at 2048).
+    k = np.arange(n3)[:, None]
+    j = np.arange(n3)[None, :]
+    C = np.sqrt(2.0 / n3) * np.cos(np.pi * k * (2 * j + 1) / (2 * n3))
+    C[0] /= np.sqrt(2.0)
+    np.testing.assert_array_equal(dct_matrix(n3), C)
     M = C.copy()
     M[:, 1:] += C[:, :-1]
     M /= C[:, 0][:, None]
@@ -76,6 +85,22 @@ def test_tube_map_is_bit_identical_to_the_separate_buffer_build(n3):
     X, eye = ctx.tube_map_inv, np.eye(n3)
     assert np.abs(M @ X - eye).max() <= 1e-14
     assert np.abs(X @ M - eye).max() <= 1e-14
+
+
+def test_context_build_holds_no_third_n3_square_matrix():
+    # The build allocates M and M^-1 (kept), one float32 residual of half
+    # M's bytes and blocks of 256 rows: 2.75 times M's bytes at most.
+    n3 = 2048
+    square = 8 * n3 * n3
+    tracemalloc.start()
+    try:
+        ctx = build_context(n3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8 * square
+    assert 2 * square <= kept <= 2 * square + 64 * n3
+    assert ctx.tube_map.flags.c_contiguous and ctx.tube_map_inv.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n3", [64, 1024, 2048])
