@@ -1,6 +1,7 @@
 """Transform family, block embedding, and the diagonalization oracle."""
 
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from ctprod import (
     transform_slices,
     upshift_matrix,
 )
-from ctprod.transform import _map, block_diag_oracle
+import ctprod.transform as tr
+from ctprod.transform import _cosine_tables, _dct2, _dct3, _map, block_diag_oracle
 
 from helpers import forced_complex, random_tensor
 
@@ -63,33 +65,119 @@ def test_tube_map_closed_form():
     np.testing.assert_allclose(ctx.tube_map @ ctx.tube_map_inv, np.eye(n3), atol=1e-13)
 
 
-@pytest.mark.parametrize("n3", [1, 2, 5, 15, 24, 54, 64, 1024, 2048])
-def test_tube_map_is_bit_identical_to_the_separate_buffer_build(n3):
-    # C from the paper's formula as written, the way the benchmark's
-    # reference builds it: dct_matrix builds it in place and must give the
-    # same bits.  M = W^-1 C (I + Z) formed from an untouched copy of C: the
-    # context builds it in C's own buffer and must give the same bits.  M^-1
-    # comes from the closed form and one Newton step, and inverts that
-    # rounded M on both sides (np.linalg.inv(M) is off by 4e-14 on the left
-    # at 2048).
+def _paper_tube_map(n3):
+    """C from the paper's formula as written, the way the benchmark's
+    reference builds it, and M = W^-1 C (I + Z) formed from an untouched
+    copy of C."""
     k = np.arange(n3)[:, None]
     j = np.arange(n3)[None, :]
     C = np.sqrt(2.0 / n3) * np.cos(np.pi * k * (2 * j + 1) / (2 * n3))
     C[0] /= np.sqrt(2.0)
-    np.testing.assert_array_equal(dct_matrix(n3), C)
     M = C.copy()
     M[:, 1:] += C[:, :-1]
     M /= C[:, 0][:, None]
+    return C, M
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 5, 15, 24, 54, 64, 255, 256, 257, 300, 1024, 2048])
+def test_tube_map_is_bit_identical_to_the_separate_buffer_build(n3):
+    # dct_matrix builds C in place, and the context builds M in C's own
+    # buffer: both must give the paper formula's bits.  M^-1 (the closed
+    # form plus the FFT correction for C's rounding from _FFT_MIN_N3 = 192
+    # on, plus one Newton step below it) inverts that rounded M on both
+    # sides: np.linalg.inv(M) is off by 4e-14 on the left at 2048, and the
+    # Newton build, were it taken at every n3, by up to 3.2e-15 at 300.
+    C, M = _paper_tube_map(n3)
+    np.testing.assert_array_equal(dct_matrix(n3), C)
     ctx = build_context(n3)
     np.testing.assert_array_equal(ctx.tube_map, M)
     X, eye = ctx.tube_map_inv, np.eye(n3)
-    assert np.abs(M @ X - eye).max() <= 1e-14
-    assert np.abs(X @ M - eye).max() <= 1e-14
+    assert np.abs(M @ X - eye).max() <= 5e-15
+    assert np.abs(X @ M - eye).max() <= 5e-15
+
+
+@pytest.mark.parametrize("n3", [192, 300, 1024])
+def test_context_without_extended_precision_takes_the_newton_step(n3, monkeypatch):
+    # Where np.longdouble is float64, the defect of the rounded C cannot be
+    # formed, and the build takes the Newton step at every n3, as it does
+    # below _FFT_MIN_N3 everywhere.
+    monkeypatch.setattr(tr, "_EXTENDED", False)
+    _, M = _paper_tube_map(n3)
+    ctx = build_context(n3)
+    np.testing.assert_array_equal(ctx.tube_map, M)
+    X, eye = ctx.tube_map_inv, np.eye(n3)
+    assert np.abs(M @ X - eye).max() <= 5e-15
+    assert np.abs(X @ M - eye).max() <= 5e-15
+    assert X.flags.c_contiguous
+
+
+def _decimal_pi():
+    # The series of the Python decimal module's documentation.
+    three = Decimal(3)
+    lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    return s
+
+
+def _decimal_cos(x):
+    i, lasts, s, fact, num, sign = 0, 0, Decimal(1), 1, Decimal(1), 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    return s
+
+
+@pytest.mark.skipif(not tr._EXTENDED, reason="np.longdouble is float64 here, and the build uses no tables")
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 8, 12, 31])
+def test_cosine_tables_match_a_decimal_evaluation(n):
+    # The hi + lo tables against 50-digit decimal cosines.  1e-40 absorbs
+    # decimal's own error at the cosine's zeros, which the tables hold as
+    # exact zeros.  The cosines are good to 1e-19 (one long double unit);
+    # the DCT entries also round sqrt(2/n) and the product once each.
+    (dct_hi, dct_lo), (cos_hi, cos_lo) = _cosine_tables(n)
+    assert dct_hi.shape == dct_lo.shape == (4 * n,)
+    assert cos_hi.shape == cos_lo.shape == (2 * n,)
+    with localcontext() as dec:
+        dec.prec = 50
+        pi = _decimal_pi()
+        scale = (Decimal(2) / n).sqrt()
+        for hi, lo, want, rel in (
+            (cos_hi, cos_lo, lambda m: _decimal_cos(pi * m / n), Decimal("1e-19")),
+            (dct_hi, dct_lo, lambda m: scale * _decimal_cos(pi * m / (2 * n)), Decimal("2e-19")),
+        ):
+            for m in range(hi.size):
+                got = Decimal(float(hi[m])) + Decimal(float(lo[m]))
+                assert abs(got - want(m)) <= rel * abs(want(m)) + Decimal("1e-40"), m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 64, 257])
+def test_fft_dct_passes_match_the_exact_dct_matrix(n):
+    # C from the exact tables: entry (k, j) is sqrt(2/n) cos(pi k (2j + 1) / 2n)
+    # for k >= 1, and row 0 is 1/sqrt(n).  Each pass is checked on rows and,
+    # as the context build runs it, down the columns of a transposed block.
+    (hi, lo), _ = _cosine_tables(n)
+    m = np.multiply.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
+    C = hi[m] + lo[m]
+    C[0] = 1 / np.sqrt(n)
+    x = np.random.default_rng(n).standard_normal((5, n))
+    for rows in (x, np.asfortranarray(x)):
+        np.testing.assert_allclose(_dct2(rows), x @ C.T, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_dct3(rows), x @ C, rtol=0, atol=1e-14)
 
 
 def test_context_build_holds_no_third_n3_square_matrix():
-    # The build allocates M and M^-1 (kept), one float32 residual of half
-    # M's bytes and blocks of 256 rows: 2.75 times M's bytes at most.
+    # The build allocates M and M^-1 (kept), one float32 matrix of half M's
+    # bytes (the defect D of the rounded C, transformed in place) and blocks
+    # of 64 rows or columns: 2.51 times M's bytes at n3 = 2048.
     n3 = 2048
     square = 8 * n3 * n3
     tracemalloc.start()
