@@ -4,8 +4,9 @@ Every subcommand reads tensors from text files (see :mod:`ctprod.io`),
 writes tensor results in the same format (stdout by default, a file with
 ``-o``), and keeps diagnostics such as indices, ranks, and per-step errors
 on stderr as ``#``-prefixed lines.  Exit codes: 0 on success, 1 for domain
-errors (singular slices, rank mismatches, nonexistent inverses, ...), 2 for
-usage errors and unreadable or malformed input files.
+errors (singular slices, rank mismatches, nonexistent inverses, a result
+that overflowed, ...), 2 for usage errors and unreadable or malformed input
+files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import functools
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .decompositions import c_full_rank, c_hs, c_qdr, c_qr, c_schur, c_svd
@@ -46,8 +49,16 @@ def _read(path: str) -> Tensor3:
     return parse_tensor_file(Path(path).read_bytes())
 
 
+def _finite(A: Tensor3) -> Tensor3:
+    """A result to write.  One with a NaN or an infinity (an overflow) is a
+    domain error: ``parse_tensor_file`` would reject its file."""
+    if not np.isfinite(A.slices).all():
+        raise CtError("the result has a non-finite entry (an overflow); nothing was written")
+    return A
+
+
 def _emit(A: Tensor3, out: str | None) -> None:
-    data = write_tensor_file(A)
+    data = write_tensor_file(_finite(A))
     if out:
         Path(out).write_bytes(data)
     else:
@@ -117,10 +128,11 @@ def _indexed(res) -> Tensor3:
 def _decomp(args, ctx, A) -> None:
     factor, fields, note = _FACTORS[args.kind]
     d = factor(A, ctx, args.tol)
+    factors = {name: _finite(getattr(d, field)) for name, field in fields.items()}
     if note:
         print(note.format(d), file=sys.stderr)
-    for name, field in fields.items():
-        data = write_tensor_file(getattr(d, field))
+    for name, T in factors.items():
+        data = write_tensor_file(T)
         if args.output:
             Path(f"{args.output}.{name}.ct").write_bytes(data)
         else:
@@ -226,7 +238,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return _dispatch(args)
+        # Overflows surface as inf or NaN in the result, not as numpy's
+        # warnings on stderr, which carries only "#" lines and one error line.
+        with np.errstate(all="ignore"):
+            return _dispatch(args)
     except (ParseError, DimsMismatch, InvalidAlpha) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

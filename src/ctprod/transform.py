@@ -11,6 +11,7 @@ stack of the transform slices, which is the master oracle used by the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,14 +41,20 @@ def dct_matrix(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ShapeMismatch("n must be at least 1")
-    # The formula's arithmetic, entry for entry, on one n x n buffer.
-    k = np.arange(n)[:, None]
+    return _dct_rows(n, 0, n)
+
+
+def _dct_rows(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start to stop of ``dct_matrix(n)``, with its bits: the formula's
+    arithmetic, entry for entry, on one buffer."""
+    k = np.arange(start, stop)[:, None]
     j = np.arange(n)[None, :]
     C = np.multiply(np.pi * k, 2 * j + 1)
     C /= 2 * n
     np.cos(C, out=C)
     C *= np.sqrt(2.0 / n)
-    C[0] /= np.sqrt(2.0)
+    if start == 0:
+        C[0] /= np.sqrt(2.0)
     return C
 
 
@@ -60,8 +67,61 @@ def upshift_matrix(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _FFTMap:
+    """M and M^-1 along axis 0 of a float64 (n3, cols) array, with no float64
+    n3 x n3 matrix.
+
+    With C the exact orthonormal DCT-II and W_e = diag(C[:, 0]), the exact map
+    M_e = W_e^-1 C (I + Z) has entry 2 cos(pi k j / n) at (k, j) and ones in
+    column 0.  So M_e x = F(x)[:n] and (M_e^-1 y)_i = (F(y)_i -
+    (-1)^(n-i) F(y)_n) / 2n, with F of :func:`_cosine_sums`, one real FFT per
+    column.  The rounded C~ = ``dct_matrix(n)`` is R C + D: R = W W_e^-1 scales
+    the exact rows to the rounded first column w (R is I to about 1e-16), and
+    the defect D is at most 3.4e-14 at n = 2048.  Then
+
+        M x    = M_e x + W^-1 D (I + Z) x,
+        M^-1 y = M_e^-1 y + G y,  G = -(I + Z)^-1 C^T D C^T W,
+
+    the latter as (R C + D)^-1 = C^T R^-1 - C^T R^-1 D C^T R^-1 + O(|D|^2),
+    where |D|^2 is below 1e-22 and R^-1 changes G by 1e-16 of itself.  M's
+    rounding enters only through W^-1 D (I + Z) and G, each one float32 GEMM
+    (:func:`_scaled_gemm`).  Dividing a DCT-II of (I + Z) x by w instead
+    would scale row k's FFT rounding by 1/w_k, up to 4e4 at n = 2048.
+    """
+
+    defect: np.ndarray  # W^-1 D (I + Z), float32
+    correction: np.ndarray  # G, float32
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        n = x.shape[0]
+        y = _scaled_gemm(self.defect, x)
+        for cols, F in _cosine_sums(x):
+            y[:, cols] += F[:, :n].T
+        return y
+
+    def inverse(self, y: np.ndarray) -> np.ndarray:
+        n = y.shape[0]
+        x = _scaled_gemm(self.correction, y)
+        for cols, F in _cosine_sums(y, 1 / (2 * n)):
+            x[:, cols] += F[:, :n].T
+            x[n % 2 :: 2, cols] -= F[:, n]
+            x[1 - n % 2 :: 2, cols] += F[:, n]
+        return x
+
+
+@dataclass(frozen=True)
 class TransformContext:
-    """Precomputed transform matrices for a fixed third dimension n3.
+    """The tube map M = W^-1 C (I + Z) and its inverse for a fixed n3.
+
+    Every map runs in ``_map``, one of two ways.
+    * Dense: below n3 = ``_FFT_MIN_N3`` (768), and at every n3 where
+      np.longdouble has no more bits than float64 (Windows, macOS on arm64).
+      The build forms M, and M^-1 as the closed form (I + Z)^-1 C^T W of the
+      rounded C refined by one Newton step against M; each map is one
+      float64 GEMM.
+    * FFT (``fft`` set): the build keeps w and two float32 n3 x n3 matrices
+      (M's bytes in all); each map is one real FFT per column and one
+      float32 GEMM (see :class:`_FFTMap`).
 
     Attributes
     ----------
@@ -69,27 +129,38 @@ class TransformContext:
     dct_col_scale : ndarray
         First column of the orthonormal DCT-II matrix C; the diagonal of W
         (strictly positive, hence W is invertible).
+    fft : _FFTMap or None
+        The maps of an FFT context; None for a dense one.
     tube_map : ndarray
-        M = W^-1 C (I + Z): applied along tubes by the forward transform.
+        M, float64 n3 x n3.  A dense context holds it from the build; an FFT
+        context builds it on first read, with the same bits.
     tube_map_inv : ndarray
-        M^-1, built to invert the rounded M to its last bits.  From n3 = 192
-        on, it is the closed form of (I + Z)^-1 C^T W with the exact C, less
-        the first-order correction (I + Z)^-1 (C^T D C^T) W for the defect D
-        between the rounded and the exact C, which two FFT passes give in
-        O(n3^2 log n3).  Below that, and wherever np.longdouble has no more
-        bits than float64 (so that D cannot be formed), it is the closed form
-        (I + Z)^-1 C^T W of the rounded C, refined by one Newton step.
-
-    :func:`build_context` forms M in C's buffer and M^-1 in one more n3 x n3
-    buffer, both C-contiguous; besides them it holds one float32 n3 x n3
-    matrix (D, or the Newton step's residual: half of M's bytes) and blocks
-    of 256 rows (64 rows or columns in the FFT passes).
+        M^-1, float64 n3 x n3, inverting the rounded M to its last bits.  A
+        dense context holds it from the build; an FFT context builds it on
+        first read, as the inverse map applied to I.
     """
 
     n3: int
     dct_col_scale: np.ndarray
-    tube_map: np.ndarray
-    tube_map_inv: np.ndarray
+    fft: _FFTMap | None = None
+
+    @cached_property
+    def tube_map(self) -> np.ndarray:
+        M = dct_matrix(self.n3)
+        _shift_and_scale(M, self.dct_col_scale)
+        M.setflags(write=False)
+        return M
+
+    @cached_property
+    def tube_map_inv(self) -> np.ndarray:
+        if self.fft is None:
+            return build_context(self.n3).tube_map_inv
+        n = self.n3
+        X = np.empty((n, n))
+        for c in range(0, n, _BUILD_ROWS):
+            X[:, c : c + _BUILD_ROWS] = self.fft.inverse(np.eye(n, min(_BUILD_ROWS, n - c), -c))
+        X.setflags(write=False)
+        return X
 
 
 # Rows per block of the context build's n3 x n3 passes, so that a temporary
@@ -99,64 +170,71 @@ _BUILD_ROWS = 256
 # n3 = 2048 take 1 MiB: on a 2-core x86-64 host with 2 MB of L2 per core,
 # the pass down the columns took 80-120 ms at 64 and 120-150 ms at 256.
 _FFT_ROWS = 64
+# Bytes of output of one FFT call of an FFT map.
+_FFT_BYTES = 256 * 1024
 
 # Values to about twice float64's precision, each the unevaluated sum of
 # its entries in two float64 arrays hi and lo.
 _HiLo = tuple[np.ndarray, np.ndarray]
 
 # Whether np.longdouble carries a 64-bit mantissa (x87 extended precision,
-# as on Linux and macOS on x86-64).  Only then do the cosine tables hold the
-# exact DCT to well below float64's last bit, as the defect D needs;
-# elsewhere (Windows, macOS on arm64) every build takes the Newton step.
+# as on Linux and macOS on x86-64).  Only then does the cosine table hold
+# the exact DCT to well below float64's last bit, as the defect D needs;
+# elsewhere (Windows, macOS on arm64) every context is dense.
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
-# From this n3 on, M^-1 is built with the FFT correction; below it, with the
-# Newton step, whose two n3 x n3 products cost less there than the FFT
-# build's fixed cost of some hundred NumPy calls.  On a 2-core x86-64 host
-# (1 BLAS thread), the FFT build took 0.38 ms against 0.12 ms at n3 = 32,
-# about as long at 128, and 2.5 ms against 3.0 ms at 192.
-_FFT_MIN_N3 = 192
+# From this n3 on, contexts are FFT ones; below it, dense.  On a 2-core
+# x86-64 host (1 BLAS thread), an FFT map took 1.5 to 2.5 times as long as
+# the dense GEMM at n3 = 256 and 512, about as long at 768 to 1024 with
+# 128 columns and less with 8 to 32, and less at 2048 with any width.  The
+# Newton build took about as long as the FFT build at 768 and 1000, and
+# less at 256 and 512.
+_FFT_MIN_N3 = 768
 
 
 def build_context(n3: int) -> TransformContext:
     """Build the :class:`TransformContext` for third dimension n3 >= 1."""
+    if _EXTENDED and n3 >= _FFT_MIN_N3:
+        w, D = _dct_defect(n3, _cosine_table(n3))
+        defect = D.copy()
+        _shift_and_scale(defect, w)
+        fft = _FFTMap(defect=defect, correction=_defect_correction(D, w))
+        for arr in (w, fft.defect, fft.correction):
+            arr.setflags(write=False)
+        return TransformContext(n3=n3, dct_col_scale=w, fft=fft)
     M = dct_matrix(n3)
     w = M[:, 0].copy()
-    fft = _EXTENDED and n3 >= _FFT_MIN_N3
-    if fft:
-        dct, cos = _cosine_tables(n3)
-        D = _dct_defect(M, dct)  # before M takes C's buffer
-    else:
-        X = np.multiply(M.T, w, order="C")
-    # C (I + Z) without the dense product: Z shifts C's columns right by one.
-    # Built in C's own buffer, a block of rows at a time, so that numpy
-    # buffers only one block of the overlapping operand.
-    for r in range(0, n3, _BUILD_ROWS):
-        block = M[r : r + _BUILD_ROWS]
-        block[:, 1:] += block[:, :-1]
-    M /= w[:, None]
-    if fft:
-        X = _defect_correction(D, w)
-        del D
-        _add_closed_form(X, w, dct, cos)
-    else:
-        # M^-1 = (I + Z)^-1 C^T W, then one Newton step against the rounded M.
-        _solve_upshift(X)
-        _newton_step(M, X)
+    # M^-1 = (I + Z)^-1 C^T W, then one Newton step against the rounded M.
+    X = np.multiply(M.T, w, order="C")
+    _shift_and_scale(M, w)
+    _solve_upshift(X)
+    _newton_step(M, X)
     for arr in (w, M, X):
         arr.setflags(write=False)
-    return TransformContext(n3=n3, dct_col_scale=w, tube_map=M, tube_map_inv=X)
+    ctx = TransformContext(n3=n3, dct_col_scale=w)
+    # The cached properties keep their values in the instance's __dict__.
+    vars(ctx).update(tube_map=M, tube_map_inv=X)
+    return ctx
 
 
-def _cosine_tables(n: int) -> tuple[_HiLo, _HiLo]:
-    """The exact cosines the build needs, each as float64 hi + lo.
+def _shift_and_scale(C: np.ndarray, w: np.ndarray) -> None:
+    """C = W^-1 C (I + Z), in place (M from the rounded C, or the forward
+    defect from D): Z shifts C's columns right by one.  A block of rows at a
+    time, so that numpy buffers only one block of the overlapping operand."""
+    for r in range(0, C.shape[0], _BUILD_ROWS):
+        block = C[r : r + _BUILD_ROWS]
+        block[:, 1:] += block[:, :-1]
+    C /= w[:, None]
 
-    ``dct`` holds sqrt(2/n) cos(pi m / 2n) for m in [0, 4n): entry (k, j) of
-    the exact C is dct[k (2j + 1) mod 4n] for k >= 1.  ``cos`` holds
-    cos(pi m / n) for m in [0, 2n).  Both come from np.longdouble cosines and
-    sines of arguments in [0, pi/4], reflected into the other quadrants, so
-    that each entry is correct to about one long double unit and the exact
-    zeros and ones are exact.
+
+def _cosine_table(n: int) -> _HiLo:
+    """sqrt(2/n) cos(pi m / 2n) for m in [0, 4n), as float64 hi + lo: entry
+    (k, j) of the exact C is the entry k (2j + 1) mod 4n for k >= 1.
+
+    It comes from np.longdouble cosines and sines of arguments in
+    [0, pi/4], reflected into the other quadrants, so that each cosine is
+    correct to about one long double unit and the exact zeros and ones are
+    exact.
     """
     pi = 4 * np.arctan(np.longdouble(1))
     m = np.arange(n + 1, dtype=np.longdouble)
@@ -165,53 +243,63 @@ def _cosine_tables(n: int) -> tuple[_HiLo, _HiLo]:
     c[: n + 1] = quadrant
     c[n + 1 : 2 * n + 1] = -quadrant[n - 1 :: -1]
     c[2 * n + 1 :] = c[2 * n - 1 : 0 : -1]
-    return _split(np.sqrt(np.longdouble(2) / n) * c), _split(c[::2])
+    c *= np.sqrt(np.longdouble(2) / n)
+    hi = c.astype(np.float64)
+    return hi, (c - hi).astype(np.float64)
 
 
-def _split(x: np.ndarray) -> _HiLo:
-    hi = x.astype(np.float64)
-    return hi, (x - hi).astype(np.float64)
+def _dct_defect(n: int, dct: _HiLo) -> tuple[np.ndarray, np.ndarray]:
+    """The first column w of ``dct_matrix(n)`` and its defect D (see
+    :class:`_FFTMap`) in float32, from _BUILD_ROWS rows of it at a time.
 
-
-def _dct_defect(C: np.ndarray, dct: _HiLo) -> np.ndarray:
-    """D = C - (exact C) in float32, for the rounded DCT matrix C.
-
-    C - hi is exact where the two lie within a factor of two of each other
-    (and where hi is 0), so D keeps the defect (at most 3.4e-14 at n = 2048)
-    to float32's relative precision.
+    Row k >= 1 of the exact C is hi + lo at k (2j + 1) mod 4n, and R scales
+    it by w_k / (hi + lo)_k = 1 + rho_k.  C~ - hi is exact where the two lie
+    within a factor of two of each other (and where hi is 0), so
+    D = (C~ - hi) - lo - rho hi keeps the defect to float32's relative
+    precision.  Row 0 of C~ and of R C is w_0 throughout.
     """
-    n = C.shape[0]
     hi, lo = dct
+    w = np.empty(n)
     D = np.empty((n, n), dtype=np.float32)
     odd = 2 * np.arange(n) + 1
     for r in range(0, n, _BUILD_ROWS):
-        m = np.multiply.outer(np.arange(r, min(r + _BUILD_ROWS, n)), odd)
+        rows = np.arange(r, min(r + _BUILD_ROWS, n))
+        C = _dct_rows(n, r, r + rows.size)
+        w[rows] = C[:, 0]
+        rho = (C[:, 0] / (hi[rows] + lo[rows].astype(np.longdouble)) - 1).astype(np.float64)
+        m = np.multiply.outer(rows, odd)
         m %= 4 * n
-        block = C[r : r + _BUILD_ROWS] - np.take(hi, m)
-        block -= np.take(lo, m)
-        D[r : r + _BUILD_ROWS] = block
-    # Row 0 of the exact C is 1/sqrt(n), not sqrt(2/n).
-    hi0, lo0 = _split(1 / np.sqrt(np.longdouble(n)))
-    D[0] = (C[0] - hi0) - lo0
-    return D
+        H = np.take(hi, m)
+        C -= H
+        C -= np.take(lo, m)
+        H *= rho[:, None]
+        C -= H
+        D[rows] = C
+    D[0] = 0.0
+    return w, D
 
 
 def _defect_correction(D: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """-(I + Z)^-1 (C^T D C^T) W for the exact C, from the float32 defect D,
-    whose buffer the two FFT passes reuse.
+    """G = -(I + Z)^-1 (C^T D C^T) W for the exact C (see :class:`_FFTMap`),
+    in the buffer of the float32 defect D.
 
-    C^T D C^T takes C's rounding out of the closed form of M^-1 to first
-    order: (C + D)^-1 = C^T - C^T D C^T + O(|D|^2), and |D|^2 is below 1e-22
-    at n = 2048 (|D| its Frobenius norm, 7.6e-12).
+    Two FFT passes form C^T D C^T in O(n^2 log n); the suffix sum of
+    (I + Z)^-1 then runs in float64 from the bottom up, a block of rows at a
+    time, each block taking the finished row below it.
     """
     n = D.shape[0]
     for c in range(0, n, _FFT_ROWS):
         D[:, c : c + _FFT_ROWS] = _dct3(D[:, c : c + _FFT_ROWS].astype(np.float64).T).T
     for r in range(0, n, _FFT_ROWS):
         D[r : r + _FFT_ROWS] = _dct2(D[r : r + _FFT_ROWS].astype(np.float64))
-    X = np.multiply(D, -w)
-    _solve_upshift(X)
-    return X
+    below = np.zeros(n)
+    for r in reversed(range(0, n, _BUILD_ROWS)):
+        X = np.multiply(D[r : r + _BUILD_ROWS], -w)
+        X[-1] -= below
+        _solve_upshift(X)
+        D[r : r + _BUILD_ROWS] = X
+        below = X[0]
+    return D
 
 
 def _solve_upshift(X: np.ndarray) -> None:
@@ -220,38 +308,6 @@ def _solve_upshift(X: np.ndarray) -> None:
     finished row below it."""
     for i in range(X.shape[0] - 2, -1, -1):
         X[i] -= X[i + 1]
-
-
-def _add_closed_form(X: np.ndarray, w: np.ndarray, dct: _HiLo, cos: _HiLo) -> None:
-    """X += (I + Z)^-1 C^T W for the exact C, entry by entry, _BUILD_ROWS
-    rows at a time.
-
-    Row i of (I + Z)^-1 takes the alternating sum of C's columns from i on,
-    which telescopes: for l >= 1, entry (i, l) is
-    w_l [cos(pi l i / n) - (-1)^(n - i + l)] / (n e_l), where e_l = C_l0 is
-    the exact first column (w is the rounded one M is built from); for
-    l = 0 it is w_0 / sqrt(n) when n - i is odd and 0 otherwise, which is
-    the same formula with e_0 = 2 / sqrt(n).
-    """
-    n = X.shape[0]
-    hi, lo = cos
-    exact_w = dct[0][:n] + dct[1][:n].astype(np.longdouble)
-    exact_w[0] = 2 / np.sqrt(np.longdouble(n))
-    scale = (w / (n * exact_w)).astype(np.float64)
-    l = np.arange(n)
-    sign = np.where(l % 2, -1.0, 1.0)
-    for r in range(0, n, _BUILD_ROWS):
-        a = np.multiply.outer(np.arange(r, min(r + _BUILD_ROWS, n)), l)
-        a %= 2 * n
-        F = np.take(hi, a)
-        # Subtract (-1)^(n - i) (-1)^l: rows whose n - i is even take away
-        # sign, the others add it.
-        even = (n - r) % 2
-        F[even::2] -= sign
-        F[1 - even :: 2] += sign
-        F += np.take(lo, a)
-        F *= scale
-        X[r : r + _BUILD_ROWS] += F
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:
@@ -300,6 +356,40 @@ def _dct3(y: np.ndarray) -> np.ndarray:
     return x
 
 
+def _cosine_sums(x: np.ndarray, scale: float = 1.0):
+    """F(x) for blocks of x's columns: yields (columns, F), F a (block, n + 1)
+    array whose entry (c, k) is x_0c + 2 sum_(j >= 1) cos(pi k j / n) x_jc,
+    the real FFT of column c's even extension [x_0 ... x_(n-1), 0,
+    x_(n-1) ... x_1]; with ``scale``, F(scale x).
+
+    Each is the real part of one real FFT of [x_0, 2 x_1 ... 2 x_(n-1)],
+    zero-padded to 2n, run along the rows of a transposed copy of
+    _FFT_BYTES of output at a time: at n = 1024 and 128 columns, one FFT
+    down axis 0 took 3.3 ms, and blocks of 16 rows 2.2 ms (2-core x86-64).
+    """
+    n, cols = x.shape
+    step = max(1, _FFT_BYTES // (16 * n))
+    for c in range(0, cols, step):
+        block = x[:, c : c + step]
+        v = np.multiply(block.T, 2.0 * scale)
+        v[:, 0] *= 0.5
+        yield slice(c, c + step), np.fft.rfft(v, 2 * n).real
+
+
+def _scaled_gemm(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for a float32 A with small entries and a float64 x, through one
+    float32 GEMM.
+
+    Each column of x is first scaled by a power of two to a largest entry in
+    [0.5, 1), and the product back after the GEMM, so that no finite column
+    overflows float32 or falls below its range as a whole.
+    """
+    _, e = np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))
+    s = np.ldexp(x, -e, out=np.empty(x.shape, np.float32), casting="same_kind")
+    y = (A @ s).astype(np.float64)
+    return np.ldexp(y, e, out=y)
+
+
 def _newton_step(M: np.ndarray, X: np.ndarray) -> None:
     """X += X (I - M X), in place: X inverts the rounded M to its last bits.
 
@@ -331,10 +421,13 @@ def _check_n3(A: Tensor3, ctx: TransformContext) -> None:
 
 
 # From this n3 on, the tube map (8 * n3**2 bytes) no longer fits a core's
-# cache, and ``_map`` maps two stacks of one dtype with one GEMM.  Below it,
-# copying two stacks side by side costs more than a second pass over the
-# map: on a 2-core x86-64 host with 2 MB of L2 per core, one GEMM was slower
-# at n3 = 64 and 256, even at 512, and faster at 1024 and 2048.
+# cache, and ``_map`` maps two stacks of one dtype in one pass, so that M (or
+# an FFT map's float32 matrix) is read from memory once instead of twice: at
+# n3 = 2048, two real 4 x 4 stacks took 6.9 ms through one FFT map and 9.5 ms
+# through two.  Below it, copying two stacks side
+# by side costs more than a second pass over the map: on a 2-core x86-64
+# host with 2 MB of L2 per core, one GEMM was slower at n3 = 64 and 256,
+# even at 512, and faster at 1024 and 2048.
 _JOINT_MAP_MIN_N3 = 1024
 
 
@@ -346,29 +439,32 @@ def _map(ctx: TransformContext, *stacks: np.ndarray, inverse: bool = False) -> t
     float64 stack gives a float64 result; anything else is taken as
     complex128, viewed as float64 with real and imaginary parts interleaved
     along the last axis.  A real M acts on both parts alike, so either way
-    one float64 GEMM does the work with no complex copy of M, and real data
-    keeps imaginary parts exactly zero.  From n3 = _JOINT_MAP_MIN_N3 on, two
-    stacks of one dtype share one GEMM, so M is read from memory once
-    instead of twice; for a large n3, reading it is what bounds the time.
+    one real map (a float64 GEMM, or the FFT map of an FFT context) does the
+    work with no complex copy of M, and real data keeps imaginary parts
+    exactly zero.  From n3 = _JOINT_MAP_MIN_N3 on, two stacks of one dtype
+    go through one map side by side.
     """
-    T = ctx.tube_map_inv if inverse else ctx.tube_map
     if not inverse:
         stacks = tuple(map(_real_if_exact, stacks))
+    if ctx.fft is not None:
+        apply = ctx.fft.inverse if inverse else ctx.fft.forward
+    else:
+        apply = partial(np.matmul, ctx.tube_map_inv if inverse else ctx.tube_map)
 
-    def gemm(s: np.ndarray) -> np.ndarray:
+    def one(s: np.ndarray) -> np.ndarray:
         if s.dtype == np.float64:
             s = np.ascontiguousarray(s)
-            return (T @ s.reshape(s.shape[0], -1)).reshape(s.shape)
+            return apply(s.reshape(s.shape[0], -1)).reshape(s.shape)
         s = np.ascontiguousarray(s, dtype=np.complex128)
         flat = s.view(np.float64).reshape(s.shape[0], 2 * s[0].size)
-        return (T @ flat).view(np.complex128).reshape(s.shape)
+        return apply(flat).view(np.complex128).reshape(s.shape)
 
     if len(stacks) == 2 and ctx.n3 >= _JOINT_MAP_MIN_N3 and stacks[0].dtype == stacks[1].dtype:
         a, b = stacks
         width = a[0].size
-        both = gemm(np.concatenate([a.reshape(ctx.n3, width), b.reshape(ctx.n3, -1)], axis=1))
+        both = one(np.concatenate([a.reshape(ctx.n3, width), b.reshape(ctx.n3, -1)], axis=1))
         return both[:, :width].reshape(a.shape), both[:, width:].reshape(b.shape)
-    return tuple(map(gemm, stacks))
+    return tuple(map(one, stacks))
 
 
 def _real_if_exact(slices: np.ndarray) -> np.ndarray:

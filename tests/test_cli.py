@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,29 @@ def test_check_overflow_reads_inf_with_nothing_on_stderr(tmp_path, capsys, relat
     lines = {label: float(value) for label, value in (l.split() for l in out.splitlines())}
     assert {label for label, value in lines.items() if value == np.inf} == overflowed
     assert all(np.isfinite(lines[label]) for label in lines.keys() - overflowed)
+
+
+@pytest.mark.parametrize("n3", [4, 256, 1024])
+@pytest.mark.parametrize("command", [["index"], ["pinv"], ["cprod", "A"], ["markov"], ["decomp", "--kind", "svd"]])
+def test_overflowing_input_is_quiet_and_writes_no_non_finite_file(tmp_path, capsys, command, n3):
+    # Every entry 1.7e308: the transform overflows (by a dense map at
+    # n3 = 4 and 256, by the FFT map at 1024).  No numpy warning is raised, and no
+    # NaN or inf is written: the command succeeds quietly (index) or exits
+    # 1 with one error line and nothing on stdout.
+    path = write(tmp_path, "a.ct", Tensor3(np.full((n3, 2, 2), 1.7e308)))
+    args = [command[0], path] + [path if a == "A" else a for a in command[1:]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *args)
+        if command[0] == "cprod":
+            out_file = tmp_path / "c.ct"
+            assert run(capsys, *args, "-o", str(out_file)) == (code, "", err)
+            assert not out_file.exists()
+    assert not caught
+    if code == 0:
+        assert command == ["index"] and out.strip().isdigit() and err == ""
+    else:
+        assert code == 1 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("relation,count", [("mp", 2), ("drazin", 2), ("along", 3)])

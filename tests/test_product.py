@@ -72,29 +72,39 @@ class _GemmCounter(np.ndarray):
 @pytest.mark.parametrize("n3", [9, tr._JOINT_MAP_MIN_N3])
 @pytest.mark.parametrize("complex_a, complex_b", [(False, False), (True, True), (False, True), (True, False)])
 def test_operands_mapped_together_match_separate_transforms(complex_a, complex_b, n3, monkeypatch):
-    """_map maps two stacks in one GEMM from n3 = _JOINT_MAP_MIN_N3 on when
+    """_map maps two stacks in one pass from n3 = _JOINT_MAP_MIN_N3 on when
     they share a dtype, and in two otherwise; either way each stack is its
     own forward transform.  cprod maps its operands with it, so at every n3
-    it does two forward transforms and one inverse, in two GEMMs or three."""
+    it does two forward transforms and one inverse: in a dense context, in
+    two GEMMs or three.  At n3 = 1024 the FFT context is checked too, and
+    the dense one is the one built where np.longdouble is float64."""
     rng = np.random.default_rng(3)
-    ctx = build_context(n3)
     A = random_tensor(rng, 2, 3, n3, complex_a)
     B = random_tensor(rng, 3, 5, n3, complex_b)
-    for got, T in zip(_map(ctx, A.slices, B.slices), (A, B)):
-        want = transform_slices(T, ctx)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
-    want = transform_slices(A, ctx) @ transform_slices(B, ctx)
+    contexts = [build_context(n3)]
+    monkeypatch.setattr(tr, "_EXTENDED", False)
+    if contexts[0].fft is not None:
+        contexts.append(build_context(n3))
     counts = count_transforms(monkeypatch)
-    counting = dataclasses.replace(
-        ctx, tube_map=ctx.tube_map.view(_GemmCounter), tube_map_inv=ctx.tube_map_inv.view(_GemmCounter)
-    )
-    _GemmCounter.gemms = 0
-    C = cprod(A, B, counting)
-    assert (counts["fwd"], counts["inv"]) == (2, 1)
-    assert _GemmCounter.gemms == (2 if n3 >= tr._JOINT_MAP_MIN_N3 and complex_a == complex_b else 3)
-    got = transform_slices(C, ctx)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    for ctx in contexts:
+        for got, T in zip(_map(ctx, A.slices, B.slices), (A, B)):
+            want = transform_slices(T, ctx)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        want = transform_slices(A, ctx) @ transform_slices(B, ctx)
+        counting = dataclasses.replace(ctx)
+        if ctx.fft is None:
+            vars(counting).update(
+                tube_map=ctx.tube_map.view(_GemmCounter), tube_map_inv=ctx.tube_map_inv.view(_GemmCounter)
+            )
+        counts.clear()
+        _GemmCounter.gemms = 0
+        C = cprod(A, B, counting)
+        assert (counts["fwd"], counts["inv"]) == (2, 1)
+        if ctx.fft is None:
+            assert _GemmCounter.gemms == (2 if n3 >= tr._JOINT_MAP_MIN_N3 and complex_a == complex_b else 3)
+        got = transform_slices(C, ctx)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_cprod_reduces_to_matmul_at_single_slice():

@@ -27,7 +27,7 @@ from ctprod import (
     upshift_matrix,
 )
 import ctprod.transform as tr
-from ctprod.transform import _cosine_tables, _dct2, _dct3, _map, block_diag_oracle
+from ctprod.transform import _cosine_table, _dct2, _dct3, _map, block_diag_oracle
 
 from helpers import forced_complex, random_tensor
 
@@ -82,11 +82,11 @@ def _paper_tube_map(n3):
 @pytest.mark.parametrize("n3", [1, 2, 3, 5, 15, 24, 54, 64, 255, 256, 257, 300, 1024, 2048])
 def test_tube_map_is_bit_identical_to_the_separate_buffer_build(n3):
     # dct_matrix builds C in place, and the context builds M in C's own
-    # buffer: both must give the paper formula's bits.  M^-1 (the closed
-    # form plus the FFT correction for C's rounding from _FFT_MIN_N3 = 192
-    # on, plus one Newton step below it) inverts that rounded M on both
-    # sides: np.linalg.inv(M) is off by 4e-14 on the left at 2048, and the
-    # Newton build, were it taken at every n3, by up to 3.2e-15 at 300.
+    # buffer (an FFT context, from _FFT_MIN_N3 = 768 on, on first read):
+    # both must give the paper formula's bits.  M^-1 (the inverse FFT map
+    # applied to I from 768 on, the closed form plus one Newton step below
+    # it) inverts that rounded M on both sides: np.linalg.inv(M) is off by
+    # 4e-14 on the left at 2048, and the Newton build by up to 3.2e-15 at 300.
     C, M = _paper_tube_map(n3)
     np.testing.assert_array_equal(dct_matrix(n3), C)
     ctx = build_context(n3)
@@ -139,24 +139,20 @@ def _decimal_cos(x):
 @pytest.mark.skipif(not tr._EXTENDED, reason="np.longdouble is float64 here, and the build uses no tables")
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 8, 12, 31])
 def test_cosine_tables_match_a_decimal_evaluation(n):
-    # The hi + lo tables against 50-digit decimal cosines.  1e-40 absorbs
-    # decimal's own error at the cosine's zeros, which the tables hold as
+    # The hi + lo table against 50-digit decimal cosines.  1e-40 absorbs
+    # decimal's own error at the cosine's zeros, which the table holds as
     # exact zeros.  The cosines are good to 1e-19 (one long double unit);
     # the DCT entries also round sqrt(2/n) and the product once each.
-    (dct_hi, dct_lo), (cos_hi, cos_lo) = _cosine_tables(n)
-    assert dct_hi.shape == dct_lo.shape == (4 * n,)
-    assert cos_hi.shape == cos_lo.shape == (2 * n,)
+    hi, lo = _cosine_table(n)
+    assert hi.shape == lo.shape == (4 * n,)
     with localcontext() as dec:
         dec.prec = 50
         pi = _decimal_pi()
         scale = (Decimal(2) / n).sqrt()
-        for hi, lo, want, rel in (
-            (cos_hi, cos_lo, lambda m: _decimal_cos(pi * m / n), Decimal("1e-19")),
-            (dct_hi, dct_lo, lambda m: scale * _decimal_cos(pi * m / (2 * n)), Decimal("2e-19")),
-        ):
-            for m in range(hi.size):
-                got = Decimal(float(hi[m])) + Decimal(float(lo[m]))
-                assert abs(got - want(m)) <= rel * abs(want(m)) + Decimal("1e-40"), m
+        for m in range(hi.size):
+            got = Decimal(float(hi[m])) + Decimal(float(lo[m]))
+            want = scale * _decimal_cos(pi * m / (2 * n))
+            assert abs(got - want) <= Decimal("2e-19") * abs(want) + Decimal("1e-40"), m
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 64, 257])
@@ -164,7 +160,7 @@ def test_fft_dct_passes_match_the_exact_dct_matrix(n):
     # C from the exact tables: entry (k, j) is sqrt(2/n) cos(pi k (2j + 1) / 2n)
     # for k >= 1, and row 0 is 1/sqrt(n).  Each pass is checked on rows and,
     # as the context build runs it, down the columns of a transposed block.
-    (hi, lo), _ = _cosine_tables(n)
+    hi, lo = _cosine_table(n)
     m = np.multiply.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
     C = hi[m] + lo[m]
     C[0] = 1 / np.sqrt(n)
@@ -175,9 +171,10 @@ def test_fft_dct_passes_match_the_exact_dct_matrix(n):
 
 
 def test_context_build_holds_no_third_n3_square_matrix():
-    # The build allocates M and M^-1 (kept), one float32 matrix of half M's
-    # bytes (the defect D of the rounded C, transformed in place) and blocks
-    # of 64 rows or columns: 2.51 times M's bytes at n3 = 2048.
+    # An FFT context keeps w and two float32 n3 x n3 matrices, W^-1 D (I + Z)
+    # and G: M's bytes in all.  The build also holds blocks of 256 rows of C
+    # and its gather indices, or of 64 FFT rows or columns: 1.26 times M's
+    # bytes at its peak.
     n3 = 2048
     square = 8 * n3 * n3
     tracemalloc.start()
@@ -186,8 +183,8 @@ def test_context_build_holds_no_third_n3_square_matrix():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.8 * square
-    assert 2 * square <= kept <= 2 * square + 64 * n3
+    assert peak <= 2.1 * square
+    assert kept <= 1.0 * square + 64 * n3
     assert ctx.tube_map.flags.c_contiguous and ctx.tube_map_inv.flags.c_contiguous
 
 
@@ -197,7 +194,44 @@ def test_long_tube_round_trip_is_exact_to_the_last_bits(n3):
     A = random_tensor(rng, 4, 4, n3, complex_=True)
     ctx = build_context(n3)
     scale = np.abs(A.slices).max()
-    assert max_abs_diff(from_transform(to_transform(A, ctx), ctx), A) <= 1e-14 * scale
+    assert max_abs_diff(from_transform(to_transform(A, ctx), ctx), A) <= 2e-15 * scale
+
+
+@pytest.mark.skipif(not tr._EXTENDED, reason="np.longdouble is float64 here, and every context is dense")
+@pytest.mark.parametrize("n3", [192, 255, 256, 257, 300, 1024, 2048])
+def test_fft_maps_match_the_long_double_product_of_the_rounded_map(n3, monkeypatch):
+    # Both maps against M = ctx.tube_map (the dense build's bits) applied in
+    # long double: the forward map to 1e-15 of the largest entry of M x, and
+    # the inverse map so that M (M^-1 y) is y to 1e-15 of max|y|.  Below
+    # _FFT_MIN_N3 too (odd n3, and 2 n3 = 514 with a large prime factor).
+    monkeypatch.setattr(tr, "_FFT_MIN_N3", 192)
+    ctx = build_context(n3)
+    assert ctx.fft is not None
+    x = np.random.default_rng(n3).standard_normal((n3, 6))
+    M = ctx.tube_map.astype(np.longdouble)
+    (y,) = _map(ctx, x)
+    want = M @ x.astype(np.longdouble)
+    assert np.abs(y - want).max() <= 1e-15 * np.abs(want).max()
+    (z,) = _map(ctx, x, inverse=True)
+    assert np.abs(M @ z.astype(np.longdouble) - x).max() <= 1e-15 * np.abs(x).max()
+
+
+@pytest.mark.skipif(not tr._EXTENDED, reason="np.longdouble is float64 here, and every context is dense")
+@pytest.mark.parametrize("n3", [256, 2048])
+def test_fft_maps_scale_each_column_on_its_own(n3, monkeypatch):
+    # Columns at 1e300, 1e-300 and 2^+-1000 side by side, each accurate to
+    # 1e-15 of its own largest entry: the float32 GEMMs neither overflow nor
+    # lose a column below float32's range.
+    monkeypatch.setattr(tr, "_FFT_MIN_N3", 192)
+    ctx = build_context(n3)
+    assert ctx.fft is not None
+    x = np.random.default_rng(1).standard_normal((n3, 4)) * [1e300, 1e-300, 2.0**1000, 2.0**-1000]
+    M = ctx.tube_map.astype(np.longdouble)
+    (y,) = _map(ctx, x)
+    want = M @ x.astype(np.longdouble)
+    assert (np.abs(y - want).max(axis=0) <= 1e-15 * np.abs(want).max(axis=0)).all()
+    (z,) = _map(ctx, x, inverse=True)
+    assert (np.abs(M @ z.astype(np.longdouble) - x).max(axis=0) <= 1e-15 * np.abs(x).max(axis=0)).all()
 
 
 def test_context_at_n3_one_is_identity():
