@@ -11,6 +11,7 @@ __all__ = [
     "NonConvergence",
     "RankMismatch",
     "SingularSlice",
+    "NonFiniteSlice",
     "IndexTooLarge",
     "NotInvertibleAlong",
     "NotStochastic",
@@ -64,6 +65,14 @@ class SingularSlice(CtError):
     def __init__(self, slice_index: int):
         self.slice_index = int(slice_index)
         super().__init__(f"transform slice {self.slice_index} is singular")
+
+
+class NonFiniteSlice(CtError):
+    """A matrix to be factored, or whose rank is to be read, holds an inf or a
+    NaN: most often a transform slice that overflowed."""
+
+    def __init__(self):
+        super().__init__("a transform slice has a non-finite entry (an overflow)")
 
 
 class IndexTooLarge(CtError):

@@ -8,7 +8,9 @@ in float64 and stays float64; any other stack is complex128.  Only the
 Schur form is always complex, since a real matrix can have complex
 eigenvalues.  SVD, QR and Schur are backed by LAPACK; rank decisions use a
 cutoff per matrix, max(m, n) * 2**-52 * sigma_max, unless the caller
-supplies a tolerance.
+supplies a tolerance.  A stack with an inf or a NaN entry (an overflow)
+has no rank to read: the SVD, the Schur form, the rank, the
+pseudo-inverse and the index refuse it with NonFiniteSlice.
 
 ``inverse_matrix`` is the one test of whether a square matrix has an
 inverse: every square inversion here and in :mod:`ctprod.geninv` goes
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, RankMismatch, ShapeMismatch, SingularSlice
+from .errors import NonConvergence, NonFiniteSlice, RankMismatch, ShapeMismatch, SingularSlice
 
 __all__ = [
     "EPS",
@@ -69,6 +71,11 @@ def _as_stack(A) -> np.ndarray:
     if M.ndim < 2:
         raise ShapeMismatch(f"expected a matrix or a stack of matrices, got ndim={M.ndim}")
     return M
+
+
+def _require_finite(A: np.ndarray) -> None:
+    if not np.isfinite(A).all():
+        raise NonFiniteSlice()
 
 
 def _require_square(A: np.ndarray) -> None:
@@ -204,6 +211,7 @@ class MatrixCoreNilpotent:
 def svd_matrix(A) -> MatrixSvd:
     """Full singular value decomposition; raises NonConvergence on LAPACK failure."""
     A = _as_stack(A)
+    _require_finite(A)
     try:
         U, s, Vh = np.linalg.svd(A, full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -230,12 +238,14 @@ def numerical_rank(A, tol: float | None = None) -> int | np.ndarray:
     The default cutoff is max(m, n) * 2**-52 * sigma_max.
     """
     A = _as_stack(A)
+    _require_finite(A)
     return _per_matrix(A, _ranks(_singular_values(A), A.shape[-2:], tol))
 
 
 def pinv_matrix(A, tol: float | None = None) -> np.ndarray:
     """Moore-Penrose inverse via the SVD with reciprocals above the rank cutoff."""
     A = _as_stack(A)
+    _require_finite(A)
     m, n = A.shape[-2:]
     if A.size == 0:
         return np.zeros(A.shape[:-2] + (n, m), dtype=A.dtype)
@@ -348,6 +358,7 @@ def schur_matrix(A) -> MatrixSchur:
     complex128 for a real A too."""
     A = _as_stack(A)
     _require_square(A)
+    _require_finite(A)
     if A.shape[-1] == 0:
         return MatrixSchur(Q=A.astype(np.complex128), T=A.astype(np.complex128))
     import scipy.linalg  # deferred, as in qr_pivoted
@@ -401,16 +412,21 @@ def hs_matrix(A, tol: float | None = None) -> MatrixHs:
 
 
 def index_matrix(A, tol: float | None = None) -> int | np.ndarray:
-    """Smallest k <= n with rank(A^k) = rank(A^(k+1)), taking A^0 = I, per matrix."""
+    """Smallest k <= n with rank(A^k) = rank(A^(k+1)), taking A^0 = I, per matrix.
+
+    A must be finite.  Its powers are not checked: one that overflows
+    still has a rank read from its inf or NaN entries.
+    """
     A = _as_stack(A)
     _require_square(A)
+    _require_finite(A)
     n = A.shape[-1]
     r_prev = np.full(A.shape[:-2], n)
     k = np.full(A.shape[:-2], n)
     open_ = np.ones(A.shape[:-2], dtype=bool)
     B = A  # A^(j+1) at step j
     for j in range(n + 1):
-        r = numerical_rank(B, tol)
+        r = _ranks(_singular_values(B), (n, n), tol)
         k = np.where(open_ & (r == r_prev), j, k)
         open_ &= r != r_prev
         if not open_.any():

@@ -77,33 +77,39 @@ class _FFTMap:
     (-1)^(n-i) F(y)_n) / 2n, with F of :func:`_cosine_sums`, one real FFT per
     column.  The rounded C~ = ``dct_matrix(n)`` is R C + D: R = W W_e^-1 scales
     the exact rows to the rounded first column w (R is I to about 1e-16), and
-    the defect D is at most 3.4e-14 at n = 2048.  Then
+    the defect D is at most 3.4e-14 at n = 2048.  So M = M_e + W^-1 D (I + Z),
+    and with K = W^-1 D (I + Z) M_e^-1 = W^-1 (D C^T) W_e,
 
-        M x    = M_e x + W^-1 D (I + Z) x,
-        M^-1 y = M_e^-1 y + G y,  G = -(I + Z)^-1 C^T D C^T W,
+        M x    = (I + K) M_e x,
+        M^-1 y = M_e^-1 (I + K)^-1 y = M_e^-1 (y - K y) + O(|D|^2),
 
-    the latter as (R C + D)^-1 = C^T R^-1 - C^T R^-1 D C^T R^-1 + O(|D|^2),
-    where |D|^2 is below 1e-22 and R^-1 changes G by 1e-16 of itself.  M's
-    rounding enters only through W^-1 D (I + Z) and G, each one float32 GEMM
-    (:func:`_scaled_gemm`).  Dividing a DCT-II of (I + Z) x by w instead
-    would scale row k's FFT rounding by 1/w_k, up to 4e4 at n = 2048.
+    the first exactly.  The second drops M_e^-1 K^2 y - ..., where
+    M_e^-1 K^p = (I + Z)^-1 (C^T D)^p C^T W_e and |D|^2 is below 1e-22; w in
+    place of W_e changes K by 1e-16 of itself.  M's rounding enters only
+    through K, one float32 GEMM per map (:func:`_add_scaled_gemm`), after
+    the FFT on the way forward and before it on the way back.  Dividing a
+    DCT-II of (I + Z) x by w instead would scale row k's FFT rounding by
+    1/w_k, up to 4e4 at n = 2048.
     """
 
-    defect: np.ndarray  # W^-1 D (I + Z), float32
-    correction: np.ndarray  # G, float32
+    defect: np.ndarray  # K = W^-1 (D C^T) W, float32
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
-        y = _scaled_gemm(self.defect, x)
+        y = np.empty_like(x)
         for cols, F in _cosine_sums(x):
-            y[:, cols] += F[:, :n].T
+            y[:, cols] = F[:, :n].T
+        _add_scaled_gemm(self.defect, y, y)
         return y
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         n = y.shape[0]
-        x = _scaled_gemm(self.correction, y)
-        for cols, F in _cosine_sums(y, 1 / (2 * n)):
-            x[:, cols] += F[:, :n].T
+        # x = K y - y, the negative of what M_e^-1 takes.  Each block of
+        # columns is copied before its FFT, so x takes the result in place.
+        x = np.negative(y)
+        _add_scaled_gemm(self.defect, y, x)
+        for cols, F in _cosine_sums(x, -1 / (2 * n)):
+            x[:, cols] = F[:, :n].T
             x[n % 2 :: 2, cols] -= F[:, n]
             x[1 - n % 2 :: 2, cols] += F[:, n]
         return x
@@ -119,9 +125,11 @@ class TransformContext:
       The build forms M, and M^-1 as the closed form (I + Z)^-1 C^T W of the
       rounded C refined by one Newton step against M; each map is one
       float64 GEMM.
-    * FFT (``fft`` set): the build keeps w and two float32 n3 x n3 matrices
-      (M's bytes in all); each map is one real FFT per column and one
-      float32 GEMM (see :class:`_FFTMap`).
+    * FFT (``fft`` set): the build keeps w and one float32 n3 x n3 matrix
+      K = W^-1 (D C^T) W (half of M's bytes), with D the defect of the
+      rounded C.  M = (I + K) M_e exactly, and M^-1 = M_e^-1 (I - K) to
+      O(|D|^2), for the exact map M_e; each map is one real FFT per column
+      and one float32 GEMM with K (see :class:`_FFTMap`).
 
     Attributes
     ----------
@@ -166,9 +174,10 @@ class TransformContext:
 # Rows per block of the context build's n3 x n3 passes, so that a temporary
 # holds one block of rows instead of a whole n3 x n3 matrix.
 _BUILD_ROWS = 256
-# Rows or columns per block of the two FFT passes.  64 float64 columns of
-# n3 = 2048 take 1 MiB: on a 2-core x86-64 host with 2 MB of L2 per core,
-# the pass down the columns took 80-120 ms at 64 and 120-150 ms at 256.
+# Rows per block of the build's DCT-II pass along the rows of the float32
+# defect D, the one n3 x n3 matrix of an FFT context, which the pass turns
+# into K (see _FFTMap).  A block is a float64 copy of its rows: 64 rows of
+# n3 = 2048 take 1 MiB.
 _FFT_ROWS = 64
 # Bytes of output of one FFT call of an FFT map.
 _FFT_BYTES = 256 * 1024
@@ -196,12 +205,10 @@ def build_context(n3: int) -> TransformContext:
     """Build the :class:`TransformContext` for third dimension n3 >= 1."""
     if _EXTENDED and n3 >= _FFT_MIN_N3:
         w, D = _dct_defect(n3, _cosine_table(n3))
-        defect = D.copy()
-        _shift_and_scale(defect, w)
-        fft = _FFTMap(defect=defect, correction=_defect_correction(D, w))
-        for arr in (w, fft.defect, fft.correction):
+        K = _defect_map(D, w)
+        for arr in (w, K):
             arr.setflags(write=False)
-        return TransformContext(n3=n3, dct_col_scale=w, fft=fft)
+        return TransformContext(n3=n3, dct_col_scale=w, fft=_FFTMap(defect=K))
     M = dct_matrix(n3)
     w = M[:, 0].copy()
     # M^-1 = (I + Z)^-1 C^T W, then one Newton step against the rounded M.
@@ -218,9 +225,9 @@ def build_context(n3: int) -> TransformContext:
 
 
 def _shift_and_scale(C: np.ndarray, w: np.ndarray) -> None:
-    """C = W^-1 C (I + Z), in place (M from the rounded C, or the forward
-    defect from D): Z shifts C's columns right by one.  A block of rows at a
-    time, so that numpy buffers only one block of the overlapping operand."""
+    """C = W^-1 C (I + Z), in place (M from the rounded C): Z shifts C's
+    columns right by one.  A block of rows at a time, so that numpy buffers
+    only one block of the overlapping operand."""
     for r in range(0, C.shape[0], _BUILD_ROWS):
         block = C[r : r + _BUILD_ROWS]
         block[:, 1:] += block[:, :-1]
@@ -279,26 +286,15 @@ def _dct_defect(n: int, dct: _HiLo) -> tuple[np.ndarray, np.ndarray]:
     return w, D
 
 
-def _defect_correction(D: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """G = -(I + Z)^-1 (C^T D C^T) W for the exact C (see :class:`_FFTMap`),
-    in the buffer of the float32 defect D.
-
-    Two FFT passes form C^T D C^T in O(n^2 log n); the suffix sum of
-    (I + Z)^-1 then runs in float64 from the bottom up, a block of rows at a
-    time, each block taking the finished row below it.
-    """
-    n = D.shape[0]
-    for c in range(0, n, _FFT_ROWS):
-        D[:, c : c + _FFT_ROWS] = _dct3(D[:, c : c + _FFT_ROWS].astype(np.float64).T).T
-    for r in range(0, n, _FFT_ROWS):
-        D[r : r + _FFT_ROWS] = _dct2(D[r : r + _FFT_ROWS].astype(np.float64))
-    below = np.zeros(n)
-    for r in reversed(range(0, n, _BUILD_ROWS)):
-        X = np.multiply(D[r : r + _BUILD_ROWS], -w)
-        X[-1] -= below
-        _solve_upshift(X)
-        D[r : r + _BUILD_ROWS] = X
-        below = X[0]
+def _defect_map(D: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """K = W^-1 (D C^T) W for the exact C (see :class:`_FFTMap`), in the
+    buffer of the float32 defect D: one DCT-II pass along D's rows, each
+    block of rows scaled in float64 before it is stored."""
+    for r in range(0, D.shape[0], _FFT_ROWS):
+        block = _dct2(D[r : r + _FFT_ROWS].astype(np.float64))
+        block *= w
+        block /= w[r : r + _FFT_ROWS, None]
+        D[r : r + _FFT_ROWS] = block
     return D
 
 
@@ -333,29 +329,6 @@ def _dct2(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _dct3(y: np.ndarray) -> np.ndarray:
-    """y C: the orthonormal DCT-III of each row of a float64 array, the
-    inverse of :func:`_dct2`, through one inverse real FFT; like it, it
-    keeps y's memory layout."""
-    n = y.shape[-1]
-    h = n // 2 + 1
-    U = np.empty_like(y[..., :h], dtype=np.complex128)
-    U.real = y[..., :h]
-    U.real[..., 0] *= np.sqrt(2.0)
-    # Entry k takes -y_(n-k) as its imaginary part; at even n, entry n/2 is
-    # the Nyquist term, whose imaginary part is -y_(n/2) itself.
-    U.imag[..., 0] = 0.0
-    U.imag[..., 1:] = y[..., n - 1 : n - h : -1]
-    U.imag[..., 1:] *= -1.0
-    U *= np.exp(0.5j * np.pi / n * np.arange(h))
-    v = np.fft.irfft(U, n, axis=-1)
-    v *= np.sqrt(n / 2.0)
-    x = np.empty_like(y)
-    x[..., ::2] = v[..., : (n + 1) // 2]
-    x[..., 1::2] = v[..., : (n + 1) // 2 - 1 : -1]
-    return x
-
-
 def _cosine_sums(x: np.ndarray, scale: float = 1.0):
     """F(x) for blocks of x's columns: yields (columns, F), F a (block, n + 1)
     array whose entry (c, k) is x_0c + 2 sum_(j >= 1) cos(pi k j / n) x_jc,
@@ -376,18 +349,23 @@ def _cosine_sums(x: np.ndarray, scale: float = 1.0):
         yield slice(c, c + step), np.fft.rfft(v, 2 * n).real
 
 
-def _scaled_gemm(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for a float32 A with small entries and a float64 x, through one
-    float32 GEMM.
+def _add_scaled_gemm(A: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out += A x for a float32 A with small entries and a float64 x, through
+    one float32 GEMM; out may be x itself.
 
     Each column of x is first scaled by a power of two to a largest entry in
     [0.5, 1), and the product back after the GEMM, so that no finite column
-    overflows float32 or falls below its range as a whole.
+    overflows float32 or falls below its range as a whole.  The product is
+    widened to float64 and added a block of _FFT_BYTES of rows at a time, so
+    that no float64 temporary as large as x is made (at n3 = 1024 with 256
+    columns, 0.38 ms against 0.45 ms for one whole temporary, 2-core x86-64).
     """
     _, e = np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))
     s = np.ldexp(x, -e, out=np.empty(x.shape, np.float32), casting="same_kind")
-    y = (A @ s).astype(np.float64)
-    return np.ldexp(y, e, out=y)
+    p = A @ s
+    step = max(1, _FFT_BYTES // (8 * x.shape[1]))
+    for r in range(0, x.shape[0], step):
+        out[r : r + step] += np.ldexp(p[r : r + step], e, dtype=np.float64)
 
 
 def _newton_step(M: np.ndarray, X: np.ndarray) -> None:

@@ -27,6 +27,7 @@ from ctprod import (
     tensor_from_transform_slices,
     write_tensor_file,
 )
+import ctprod.cli as cli
 from ctprod.cli import _build_parser, _positive_int, _tolerance, main
 
 from helpers import count_transforms, index_two_tensor, random_tensor, stochastic_matrix
@@ -234,8 +235,8 @@ def test_check_overflow_reads_inf_with_nothing_on_stderr(tmp_path, capsys, relat
 def test_overflowing_input_is_quiet_and_writes_no_non_finite_file(tmp_path, capsys, command, n3):
     # Every entry 1.7e308: the transform overflows (by a dense map at
     # n3 = 4 and 256, by the FFT map at 1024).  No numpy warning is raised, and no
-    # NaN or inf is written: the command succeeds quietly (index) or exits
-    # 1 with one error line and nothing on stdout.
+    # NaN or inf is written: the command exits 1 with one error line and
+    # nothing on stdout (see test_index_refuses_an_overflowed_transform).
     path = write(tmp_path, "a.ct", Tensor3(np.full((n3, 2, 2), 1.7e308)))
     args = [command[0], path] + [path if a == "A" else a for a in command[1:]]
     with warnings.catch_warnings(record=True) as caught:
@@ -250,6 +251,54 @@ def test_overflowing_input_is_quiet_and_writes_no_non_finite_file(tmp_path, caps
         assert command == ["index"] and out.strip().isdigit() and err == ""
     else:
         assert code == 1 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n3", [1, 4, 256, 1024])
+def test_index_refuses_an_overflowed_transform(tmp_path, capsys, n3):
+    # Every entry 1.7e308.  At n3 = 1 the transform is the identity and the
+    # slice is finite: its index is 1.  From n3 = 4 on the transform slices
+    # hold inf and NaN, from which no rank or index can be read, so index,
+    # and check --relation drazin, which reads the index first, exit 1.
+    path = write(tmp_path, "a.ct", Tensor3(np.full((n3, 2, 2), 1.7e308)))
+    for args in (["index", path], ["check", path, path, "--relation", "drazin"]):
+        code, out, err = run(capsys, *args)
+        if n3 == 1:
+            assert code == 0 and err == "" and out
+            assert args[0] != "index" or out == "1\n"
+        else:
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert err.startswith("error: ") and "non-finite" in err
+
+
+def test_every_route_refuses_an_overflowed_transform(tmp_path, capsys):
+    # Every inverse route and factorization of a 2 x 2 x 4 tensor of 1.7e308,
+    # whose transform slices hold inf and NaN: exit 1 with one error line
+    # (the Schur routes once raised scipy's ValueError instead).
+    path = write(tmp_path, "a.ct", Tensor3(np.full((4, 2, 2), 1.7e308)))
+    commands = [["pinv", path, "--method", m.value] for m in MpMethod]
+    commands += [["drazin", path, "--method", m.value] for m in DrazinMethod]
+    commands += [["along", path, path, "--method", m.value] for m in AlongMethod]
+    commands += [["decomp", path, "--kind", k] for k in ["svd", "qr", "schur", "fullrank", "qdr", "hs", "corenil"]]
+    for command in [*commands, ["group", path]]:
+        code, out, err = run(capsys, *command)
+        assert code == 1 and out == "" and err.count("\n") == 1 and err.startswith("error: "), command
+
+
+def test_in_process_calls_build_one_context_per_n3(tmp_path, capsys, monkeypatch):
+    # cli.main keeps the contexts of the last few n3 values: repeated calls
+    # at one n3 build it once.
+    built = []
+    monkeypatch.setattr(cli, "build_context", lambda n3: built.append(n3) or build_context(n3))
+    cli._context.cache_clear()
+    try:
+        rng = np.random.default_rng(3)
+        a = write(tmp_path, "a.ct", random_tensor(rng, 2, 2, 8))
+        b = write(tmp_path, "b.ct", random_tensor(rng, 2, 2, 16))
+        for path in (a, a, b, a, b):
+            assert run(capsys, "pinv", path)[0] == 0
+        assert built == [8, 16]
+    finally:
+        cli._context.cache_clear()
 
 
 @pytest.mark.parametrize("relation,count", [("mp", 2), ("drazin", 2), ("along", 3)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctprod.errors import RankMismatch, ShapeMismatch, SingularSlice
+from ctprod.errors import NonFiniteSlice, RankMismatch, ShapeMismatch, SingularSlice
 from ctprod.kernels import (
     core_nilpotent_matrix,
     default_rank_tol,
@@ -415,3 +415,17 @@ def test_real_stacks_stay_float64():
     for A in (a, np.zeros((0, 0))):
         f = schur_matrix(A)
         assert f.Q.dtype == f.T.dtype == np.complex128
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_reading_kernels_refuse_non_finite_matrices(bad):
+    # One inf or NaN entry in one matrix of a stack: no rank, index, SVD or
+    # Schur form is read from it.
+    a = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+    a[1, 2, 0] = bad
+    kernels = [numerical_rank, svd_matrix, pinv_matrix, index_matrix, schur_matrix, inverse_matrix,
+               full_rank_matrix, qdr_matrix, hs_matrix, drazin_matrix, core_nilpotent_matrix]
+    for kernel in kernels:
+        with pytest.raises(NonFiniteSlice):
+            kernel(a)
+

@@ -27,7 +27,7 @@ from ctprod import (
     upshift_matrix,
 )
 import ctprod.transform as tr
-from ctprod.transform import _cosine_table, _dct2, _dct3, _map, block_diag_oracle
+from ctprod.transform import _cosine_table, _dct2, _map, block_diag_oracle
 
 from helpers import forced_complex, random_tensor
 
@@ -158,8 +158,8 @@ def test_cosine_tables_match_a_decimal_evaluation(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 64, 257])
 def test_fft_dct_passes_match_the_exact_dct_matrix(n):
     # C from the exact tables: entry (k, j) is sqrt(2/n) cos(pi k (2j + 1) / 2n)
-    # for k >= 1, and row 0 is 1/sqrt(n).  Each pass is checked on rows and,
-    # as the context build runs it, down the columns of a transposed block.
+    # for k >= 1, and row 0 is 1/sqrt(n).  The pass is checked on rows, and
+    # down the columns of a transposed block.
     hi, lo = _cosine_table(n)
     m = np.multiply.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
     C = hi[m] + lo[m]
@@ -167,14 +167,13 @@ def test_fft_dct_passes_match_the_exact_dct_matrix(n):
     x = np.random.default_rng(n).standard_normal((5, n))
     for rows in (x, np.asfortranarray(x)):
         np.testing.assert_allclose(_dct2(rows), x @ C.T, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(_dct3(rows), x @ C, rtol=0, atol=1e-14)
 
 
 def test_context_build_holds_no_third_n3_square_matrix():
-    # An FFT context keeps w and two float32 n3 x n3 matrices, W^-1 D (I + Z)
-    # and G: M's bytes in all.  The build also holds blocks of 256 rows of C
-    # and its gather indices, or of 64 FFT rows or columns: 1.26 times M's
-    # bytes at its peak.
+    # An FFT context keeps w and one float32 n3 x n3 matrix,
+    # K = W^-1 (D C^T) W: half of M's bytes.  The build also holds blocks of
+    # 256 rows of C and its gather indices, or of 64 FFT rows: 1.01 times
+    # M's bytes at its peak.
     n3 = 2048
     square = 8 * n3 * n3
     tracemalloc.start()
@@ -183,8 +182,10 @@ def test_context_build_holds_no_third_n3_square_matrix():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * square
-    assert kept <= 1.0 * square + 64 * n3
+    assert peak <= 1.1 * square
+    assert kept <= 0.5 * square + 64 * n3
+    held = [a for obj in (ctx, ctx.fft) for a in vars(obj).values() if isinstance(a, np.ndarray)]
+    assert [(a.shape, a.dtype) for a in held if a.ndim == 2] == [((n3, n3), np.float32)]
     assert ctx.tube_map.flags.c_contiguous and ctx.tube_map_inv.flags.c_contiguous
 
 
