@@ -5,7 +5,6 @@ from __future__ import annotations
 __all__ = [
     "CtError",
     "ShapeMismatch",
-    "SplitOutOfRange",
     "NotInMatImage",
     "BlockDiagonalizationFailure",
     "NonConvergence",
@@ -27,10 +26,6 @@ class CtError(Exception):
 
 class ShapeMismatch(CtError):
     """Operand dimensions do not conform."""
-
-
-class SplitOutOfRange(CtError):
-    """A 2x2 block split position lies outside the valid open range."""
 
 
 class NotInMatImage(CtError):

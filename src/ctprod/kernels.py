@@ -10,7 +10,9 @@ eigenvalues.  SVD, QR and Schur are backed by LAPACK; rank decisions use a
 cutoff per matrix, max(m, n) * 2**-52 * sigma_max, unless the caller
 supplies a tolerance.  A stack with an inf or a NaN entry (an overflow)
 has no rank to read: the SVD, the Schur form, the rank, the
-pseudo-inverse and the index refuse it with NonFiniteSlice.
+pseudo-inverse and the index refuse it with NonFiniteSlice.  The rank and
+the pseudo-inverse redo a finite matrix whose sigma_max overflows scaled
+by a power of two, which is exact.
 
 ``inverse_matrix`` is the one test of whether a square matrix has an
 inverse: every square inversion here and in :mod:`ctprod.geninv` goes
@@ -232,6 +234,15 @@ def default_rank_tol(shape: tuple[int, int], smax: float | np.ndarray) -> float 
     return max(shape) * EPS * smax
 
 
+def _scaled_down(A: np.ndarray, tol: float | None):
+    """Each matrix of a stack times 2**-e, 2**e just above its largest real or
+    imaginary part, so that its singular values are finite; also the factors
+    2**-e, and tol times them (None stays None)."""
+    big = np.maximum(np.abs(A.real), np.abs(A.imag)).max(axis=(-2, -1))
+    scale = np.ldexp(1.0, -np.frexp(big)[1])[:, None, None]
+    return A * scale, scale, None if tol is None else tol * scale[..., 0]
+
+
 def numerical_rank(A, tol: float | None = None) -> int | np.ndarray:
     """Number of singular values above the cutoff, one per matrix of a stack.
 
@@ -239,21 +250,38 @@ def numerical_rank(A, tol: float | None = None) -> int | np.ndarray:
     """
     A = _as_stack(A)
     _require_finite(A)
-    return _per_matrix(A, _ranks(_singular_values(A), A.shape[-2:], tol))
+    s = _singular_values(A)
+    ranks = _ranks(s, A.shape[-2:], tol)
+    over = np.isinf(s[..., :1]).any(axis=-1)
+    if over.any():
+        B, _, t = _scaled_down(A[over], tol)
+        ranks[over] = _ranks(_singular_values(B), A.shape[-2:], t)
+    return _per_matrix(A, ranks)
 
 
 def pinv_matrix(A, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse via the SVD with reciprocals above the rank cutoff."""
+    """Moore-Penrose inverse via the SVD with reciprocals above the rank
+    cutoff; pinv(A) = 2**-e pinv(2**-e A) where sigma_max overflows."""
     A = _as_stack(A)
     _require_finite(A)
     m, n = A.shape[-2:]
     if A.size == 0:
         return np.zeros(A.shape[:-2] + (n, m), dtype=A.dtype)
+    X, s = _pinv_svd(A, tol)
+    over = np.isinf(s[..., :1]).any(axis=-1)
+    if over.any():
+        B, scale, t = _scaled_down(A[over], tol)
+        X[over] = _pinv_svd(B, t)[0] * scale
+    return X
+
+
+def _pinv_svd(A: np.ndarray, tol: float | np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The Moore-Penrose inverses of a nonempty stack, and its singular values."""
     try:
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-    return _pinv_from_svd(U, s, _adj(Vh), (m, n), tol)
+    return _pinv_from_svd(U, s, _adj(Vh), A.shape[-2:], tol), s
 
 
 def _pinv_from_svd(U: np.ndarray, s: np.ndarray, V: np.ndarray, shape: tuple[int, int], tol: float | None) -> np.ndarray:
@@ -307,7 +335,11 @@ def inverse_matrix(A, tol: float | None = None) -> np.ndarray:
     open_ = np.flatnonzero(~ok)
     if open_.size:
         finite = np.isfinite(X.reshape(-1, n, n)[open_]).all(axis=(-2, -1))
-        singular = open_[(numerical_rank(A.reshape(-1, n, n)[open_], tol) < n) | ~finite]
+        M = A.reshape(-1, n, n)[open_]
+        _require_finite(M)
+        # No rescale here: where sigma_max overflows, LU's inverse can be finite
+        # and wrong, so the default cutoff's inf leaves such a matrix singular.
+        singular = open_[(_ranks(_singular_values(M), (n, n), tol) < n) | ~finite]
         if singular.size:
             raise SingularSlice(int(singular[0]))
     return X

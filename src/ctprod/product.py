@@ -8,13 +8,11 @@ reserved as a test oracle.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .errors import ShapeMismatch
 from .kernels import _adj, inverse_matrix
-from .tensor import Tensor3, _require_square, max_abs_diff
+from .tensor import Tensor3, _require_square
 from .transform import (
     TransformContext,
     _check_n3,
@@ -25,35 +23,18 @@ from .transform import (
 )
 
 __all__ = [
-    "StructureKind",
-    "facewise_product",
     "cprod",
     "identity_tensor",
     "conj_transpose",
-    "structure_of",
     "is_unitary",
-    "is_symmetric",
     "tensor_inverse",
     "tensor_power",
 ]
 
 
-class StructureKind(Enum):
-    F_DIAGONAL = "f-diagonal"
-    F_UPPER = "f-upper"
-    F_LOWER = "f-lower"
-    NONE = "none"
-
-
 def _check_product_dims(A: Tensor3, B: Tensor3) -> None:
     if A.n2 != B.n1 or A.n3 != B.n3:
         raise ShapeMismatch(f"cannot multiply dims {A.dims} by {B.dims}")
-
-
-def facewise_product(A: Tensor3, B: Tensor3) -> Tensor3:
-    """Slice-by-slice matrix product: slice i of the result is A_i @ B_i."""
-    _check_product_dims(A, B)
-    return Tensor3(A.slices @ B.slices)
 
 
 def cprod(A: Tensor3, B: Tensor3, ctx: TransformContext) -> Tensor3:
@@ -92,22 +73,6 @@ def conj_transpose(A: Tensor3, ctx: TransformContext) -> Tensor3:
     return Tensor3(A.slices.conj().transpose(0, 2, 1))
 
 
-def structure_of(A: Tensor3, tol: float = 1e-12) -> StructureKind:
-    """Classify the raw frontal slices as diagonal/upper/lower within ``tol``."""
-    sl = A.slices
-    if sl.size == 0:
-        return StructureKind.F_DIAGONAL
-    below = float(np.abs(np.tril(sl, -1)).max())
-    above = float(np.abs(np.triu(sl, 1)).max())
-    if below <= tol and above <= tol:
-        return StructureKind.F_DIAGONAL
-    if below <= tol:
-        return StructureKind.F_UPPER
-    if above <= tol:
-        return StructureKind.F_LOWER
-    return StructureKind.NONE
-
-
 def is_unitary(A: Tensor3, ctx: TransformContext, tol: float = 1e-8) -> bool:
     """Whether A^H *c A = A *c A^H = identity within ``tol``.
 
@@ -121,12 +86,6 @@ def is_unitary(A: Tensor3, ctx: TransformContext, tol: float = 1e-8) -> bool:
         _storage_max_abs(_adj(ah) @ ah - eye, ctx) <= tol
         and _storage_max_abs(ah @ _adj(ah) - eye, ctx) <= tol
     )
-
-
-def is_symmetric(A: Tensor3, ctx: TransformContext, tol: float = 1e-8) -> bool:
-    """Whether A^H = A within ``tol``."""
-    _require_square(A)
-    return max_abs_diff(conj_transpose(A, ctx), A) <= tol
 
 
 def tensor_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> Tensor3:

@@ -1,4 +1,4 @@
-"""Dense order-3 complex tensors: slice/tube access, mode-3 folding, 2x2 blocks.
+"""Dense order-3 complex tensors: slice and tube access, arithmetic, comparison.
 
 Entries are stored slice-major: ``slices[k]`` is the k-th frontal slice (an
 ``n1 x n2`` complex matrix), so slice extraction is a contiguous view.  All
@@ -7,20 +7,12 @@ indices in this package are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ShapeMismatch, SplitOutOfRange
+from .errors import ShapeMismatch
 
 __all__ = [
     "Tensor3",
-    "BlockPartition2x2",
-    "mode3_unfold",
-    "mode3_fold",
-    "mode3_product",
-    "block_split",
-    "block_compose",
     "max_abs_diff",
 ]
 
@@ -136,80 +128,6 @@ class Tensor3:
 def _require_square(A: Tensor3) -> None:
     if A.n1 != A.n2:
         raise ShapeMismatch(f"dims {A.dims} are not square")
-
-
-@dataclass(frozen=True)
-class BlockPartition2x2:
-    """A tensor split into four blocks at row position s and column position t."""
-
-    split: tuple[int, int]
-    a11: Tensor3
-    a12: Tensor3
-    a21: Tensor3
-    a22: Tensor3
-
-
-def mode3_unfold(A: Tensor3) -> np.ndarray:
-    """Unfold along the third mode into an n3 x (n1*n2) matrix.
-
-    Row i3 lists the entries of slice i3; columns enumerate (i1, i2) pairs
-    with i2 varying fastest.
-    """
-    return A.slices.reshape(A.n3, A.n1 * A.n2).copy()
-
-
-def mode3_fold(Y, dims: tuple[int, int, int]) -> Tensor3:
-    """Inverse of :func:`mode3_unfold` for the given (n1, n2, n3) dims."""
-    n1, n2, n3 = dims
-    Y = np.asarray(Y)
-    if Y.ndim != 2 or Y.shape != (n3, n1 * n2):
-        raise ShapeMismatch(f"matrix shape {Y.shape} does not fold into dims {dims}")
-    return Tensor3(Y.reshape(n3, n1, n2))
-
-
-def mode3_product(A: Tensor3, U) -> Tensor3:
-    """Mode-3 product A x_3 U, i.e. mode3_fold(U @ mode3_unfold(A)).
-
-    U must be a J x n3 matrix; the result has dims (n1, n2, J).
-    """
-    U = np.asarray(U, dtype=np.complex128)
-    if U.ndim != 2 or U.shape[1] != A.n3:
-        raise ShapeMismatch(f"matrix shape {U.shape} does not act on n3={A.n3}")
-    return Tensor3(np.tensordot(U, A.slices, axes=(1, 0)))
-
-
-def block_split(A: Tensor3, s: int, t: int) -> BlockPartition2x2:
-    """Split every frontal slice into a 2x2 block form at (s, t).
-
-    Requires 1 <= s < n1 and 1 <= t < n2 so that all four blocks are nonempty.
-    """
-    n1, n2, _ = A.dims
-    if not (1 <= s < n1 and 1 <= t < n2):
-        raise SplitOutOfRange(f"split ({s}, {t}) not inside (0, {n1}) x (0, {n2})")
-    sl = A.slices
-    return BlockPartition2x2(
-        split=(s, t),
-        a11=Tensor3(sl[:, :s, :t]),
-        a12=Tensor3(sl[:, :s, t:]),
-        a21=Tensor3(sl[:, s:, :t]),
-        a22=Tensor3(sl[:, s:, t:]),
-    )
-
-
-def block_compose(P: BlockPartition2x2) -> Tensor3:
-    """Reassemble a 2x2 block partition; exact inverse of :func:`block_split`."""
-    a11, a12, a21, a22 = P.a11, P.a12, P.a21, P.a22
-    if not (
-        a11.n3 == a12.n3 == a21.n3 == a22.n3
-        and a11.n1 == a12.n1
-        and a21.n1 == a22.n1
-        and a11.n2 == a21.n2
-        and a12.n2 == a22.n2
-    ):
-        raise ShapeMismatch("block dims do not assemble into a 2x2 partition")
-    top = np.concatenate([a11.slices, a12.slices], axis=2)
-    bottom = np.concatenate([a21.slices, a22.slices], axis=2)
-    return Tensor3(np.concatenate([top, bottom], axis=1))
 
 
 def max_abs_diff(A: Tensor3, B: Tensor3) -> float:

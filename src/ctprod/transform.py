@@ -21,7 +21,6 @@ from .tensor import Tensor3
 __all__ = [
     "TransformContext",
     "dct_matrix",
-    "upshift_matrix",
     "build_context",
     "to_transform",
     "from_transform",
@@ -56,14 +55,6 @@ def _dct_rows(n: int, start: int, stop: int) -> np.ndarray:
     if start == 0:
         C[0] /= np.sqrt(2.0)
     return C
-
-
-def upshift_matrix(n: int) -> np.ndarray:
-    """n x n matrix with ones exactly on the first superdiagonal."""
-    Z = np.zeros((n, n))
-    if n > 1:
-        Z[np.arange(n - 1), np.arange(1, n)] = 1.0
-    return Z
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import sys
 from collections import Counter
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -12,6 +13,45 @@ import pytest
 import ctprod.transform as tr
 
 from ctprod import Tensor3, TransformContext, tensor_from_transform_slices
+
+
+def mode3_product(A: Tensor3, U) -> Tensor3:
+    """Mode-3 product A x_3 U for a J x n3 matrix U: the tube map as a plain
+    complex matrix product, the oracle of the transform's GEMMs."""
+    return Tensor3(np.tensordot(np.asarray(U, dtype=np.complex128), A.slices, axes=(1, 0)))
+
+
+def upshift_matrix(n: int) -> np.ndarray:
+    """n x n matrix with ones exactly on the first superdiagonal."""
+    return np.eye(n, k=1)
+
+
+def facewise_product(A: Tensor3, B: Tensor3) -> Tensor3:
+    """Slice-by-slice matrix product: slice i of the result is A_i @ B_i."""
+    return Tensor3(A.slices @ B.slices)
+
+
+class StructureKind(Enum):
+    F_DIAGONAL = "f-diagonal"
+    F_UPPER = "f-upper"
+    F_LOWER = "f-lower"
+    NONE = "none"
+
+
+def structure_of(A: Tensor3, tol: float = 1e-12) -> StructureKind:
+    """Classify the raw frontal slices as diagonal/upper/lower within ``tol``."""
+    sl = A.slices
+    if sl.size == 0:
+        return StructureKind.F_DIAGONAL
+    below = float(np.abs(np.tril(sl, -1)).max())
+    above = float(np.abs(np.triu(sl, 1)).max())
+    if below <= tol and above <= tol:
+        return StructureKind.F_DIAGONAL
+    if below <= tol:
+        return StructureKind.F_UPPER
+    if above <= tol:
+        return StructureKind.F_LOWER
+    return StructureKind.NONE
 
 
 def random_tensor(rng: np.random.Generator, n1: int, n2: int, n3: int, complex_: bool = False) -> Tensor3:

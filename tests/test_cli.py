@@ -270,6 +270,16 @@ def test_index_refuses_an_overflowed_transform(tmp_path, capsys, n3):
             assert err.startswith("error: ") and "non-finite" in err
 
 
+def test_pinv_of_a_slice_whose_sigma_max_overflows(tmp_path, capsys):
+    # A 2 x 2 x 1 tensor of 1.7e308: the slice is finite, but LAPACK returns
+    # sigma_max = inf for it.  pinv rescales it and writes its pseudoinverse,
+    # ones / (4 * 1.7e308), not zeros.
+    path = write(tmp_path, "a.ct", Tensor3(np.full((1, 2, 2), 1.7e308)))
+    code, out, err = run(capsys, "pinv", path)
+    assert code == 0 and err == ""
+    np.testing.assert_allclose(parse_tensor_file(out).slices, np.full((1, 2, 2), 0.25 / 1.7e308), rtol=1e-13)
+
+
 def test_every_route_refuses_an_overflowed_transform(tmp_path, capsys):
     # Every inverse route and factorization of a 2 x 2 x 4 tensor of 1.7e308,
     # whose transform slices hold inf and NaN: exit 1 with one error line

@@ -7,7 +7,6 @@ import pytest
 from ctprod import (
     RankMismatch,
     ShapeMismatch,
-    StructureKind,
     Tensor3,
     build_context,
     c_full_rank,
@@ -22,14 +21,13 @@ from ctprod import (
     identity_tensor,
     is_unitary,
     max_abs_diff,
-    structure_of,
     tensor_from_transform_slices,
     tensor_index,
     tensor_power,
     transform_slices,
 )
 
-from helpers import equal_rank_tensor, forced_complex, index_two_tensor, random_tensor
+from helpers import StructureKind, equal_rank_tensor, forced_complex, index_two_tensor, random_tensor, structure_of
 
 
 def unequal_rank_tensor(rng, ctx):

@@ -88,6 +88,47 @@ def test_pinv_degenerate():
         pinv_matrix(np.zeros(3))
 
 
+# A scalar of modulus 1.7e308, real and complex: the finite 2 x 2 matrix of
+# that entry has rank 1, but LAPACK returns sigma = [inf, 5.7e291] for it.
+BIG = [1.7e308, 1.7e308 * (0.6 + 0.8j)]
+
+
+@pytest.mark.parametrize("c", BIG)
+def test_rank_and_pinv_of_a_matrix_whose_sigma_max_overflows(c):
+    a = np.full((2, 2), c)
+    assert np.isinf(np.linalg.svd(a, compute_uv=False)[0])
+    assert numerical_rank(a) == 1
+    # pinv(c J) = J / (4 c) for J the 2 x 2 matrix of ones: subnormal entries.
+    # 1/c is formed as conj(c)/|c|/|c|, since |c|^2 overflows.
+    inv_c = np.conj(c) / abs(c) / abs(c)
+    np.testing.assert_allclose(pinv_matrix(a), np.full((2, 2), 0.25 * inv_c), rtol=1e-13)
+    # Orthogonal rows of norms 2.4e308 (inf) and 1.4e300: tol is scaled with
+    # the matrix, so it still separates the two singular values.
+    b = np.array([[c, c], [1e300, -1e300]])
+    assert numerical_rank(b, 1e300) == 2 and numerical_rank(b, 2e300) == 1
+    np.testing.assert_allclose(pinv_matrix(b, 1e300), np.linalg.inv(b / 2.0**600) / 2.0**600, rtol=1e-13)
+    np.testing.assert_allclose(pinv_matrix(b, 2e300), [[0.5 * inv_c, 0], [0.5 * inv_c, 0]], rtol=1e-13)
+    # Invertible, but LU's second pivot 2c overflows and leaves a finite, wrong
+    # inverse: inverse_matrix refuses it rather than return that.
+    with pytest.raises(SingularSlice):
+        inverse_matrix(np.array([[c, c], [-c, c]]))
+
+
+@pytest.mark.parametrize("c", BIG)
+def test_the_overflow_rescale_leaves_the_other_matrices_alone(c):
+    # One matrix of a stack overflows; the others keep the bits they have
+    # in a stack without it, where no rescale runs.
+    rng = np.random.default_rng(4)
+    rest = np.stack([random_matrix(rng, 2, 2), rank_deficient(rng, 2, 2, 1), np.zeros((2, 2))])
+    stack = np.insert(rest, 1, np.full((2, 2), c), axis=0)
+    assert numerical_rank(stack)[1] == 1
+    for tol in (None, 1e-8):
+        ranks, x = numerical_rank(stack, tol), pinv_matrix(stack, tol)
+        assert np.isfinite(x[1]).all() and np.all(x[1] != 0)
+        np.testing.assert_array_equal(np.delete(ranks, 1), numerical_rank(rest, tol))
+        np.testing.assert_array_equal(np.delete(x, 1, axis=0), pinv_matrix(rest, tol))
+
+
 @pytest.mark.parametrize("tol", [None, 1e-8])
 @pytest.mark.parametrize("shape", [(4, 4), (5, 3), (3, 5)])
 def test_pinv_of_a_stack_matches_each_matrix(shape, tol):

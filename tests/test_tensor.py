@@ -1,20 +1,9 @@
-"""Container, slicing, block, and mode-3 behavior of Tensor3."""
+"""Container, slicing, arithmetic and comparison behavior of Tensor3."""
 
 import numpy as np
 import pytest
 
-from ctprod import (
-    BlockPartition2x2,
-    ShapeMismatch,
-    SplitOutOfRange,
-    Tensor3,
-    block_compose,
-    block_split,
-    max_abs_diff,
-    mode3_fold,
-    mode3_product,
-    mode3_unfold,
-)
+from ctprod import ShapeMismatch, Tensor3, max_abs_diff
 
 from helpers import random_tensor
 
@@ -105,84 +94,6 @@ def test_equality_is_exact():
 def test_unhashable():
     with pytest.raises(TypeError):
         hash(Tensor3.zeros(1, 1, 1))
-
-
-def test_mode3_unfold_fold_round_trip():
-    rng = np.random.default_rng(1)
-    A = random_tensor(rng, 3, 2, 4, complex_=True)
-    Y = mode3_unfold(A)
-    assert Y.shape == (4, 6)
-    assert mode3_fold(Y, A.dims) == A
-
-
-def test_mode3_fold_bad_shape():
-    with pytest.raises(ShapeMismatch):
-        mode3_fold(np.zeros((4, 5)), (2, 3, 4))
-
-
-def test_mode3_product_identity_and_composition():
-    rng = np.random.default_rng(2)
-    A = random_tensor(rng, 2, 3, 4, complex_=True)
-    assert max_abs_diff(mode3_product(A, np.eye(4)), A) == 0.0
-    U = rng.standard_normal((4, 4))
-    V = rng.standard_normal((4, 4))
-    lhs = mode3_product(mode3_product(A, V), U)
-    rhs = mode3_product(A, U @ V)
-    assert max_abs_diff(lhs, rhs) < 1e-12
-
-
-def test_mode3_product_matches_unfolding():
-    rng = np.random.default_rng(3)
-    A = random_tensor(rng, 3, 2, 4)
-    U = rng.standard_normal((5, 4))
-    B = mode3_product(A, U)
-    np.testing.assert_allclose(mode3_unfold(B), U @ mode3_unfold(A), atol=1e-13)
-
-
-def test_mode3_product_shape_mismatch():
-    A = Tensor3.zeros(2, 2, 4)
-    with pytest.raises(ShapeMismatch):
-        mode3_product(A, np.eye(3))
-
-
-def test_block_split_compose_round_trip():
-    rng = np.random.default_rng(4)
-    A = random_tensor(rng, 4, 5, 3, complex_=True)
-    P = block_split(A, 1, 3)
-    assert P.split == (1, 3)
-    assert P.a11.dims == (1, 3, 3)
-    assert P.a22.dims == (3, 2, 3)
-    assert block_compose(P) == A
-
-
-@pytest.mark.parametrize("s,t", [(0, 1), (4, 1), (1, 0), (1, 5), (-1, 2)])
-def test_block_split_out_of_range(s, t):
-    A = Tensor3.zeros(4, 5, 2)
-    with pytest.raises(SplitOutOfRange):
-        block_split(A, s, t)
-
-
-def test_block_compose_zero_width_blocks():
-    P = BlockPartition2x2(
-        split=(2, 2),
-        a11=Tensor3(np.ones((3, 2, 2))),
-        a12=Tensor3.zeros(2, 0, 3),
-        a21=Tensor3.zeros(0, 2, 3),
-        a22=Tensor3.zeros(0, 0, 3),
-    )
-    assert block_compose(P) == Tensor3(np.ones((3, 2, 2)))
-
-
-def test_block_compose_nonconforming():
-    P = BlockPartition2x2(
-        split=(1, 1),
-        a11=Tensor3.zeros(1, 1, 2),
-        a12=Tensor3.zeros(2, 1, 2),
-        a21=Tensor3.zeros(1, 1, 2),
-        a22=Tensor3.zeros(1, 1, 2),
-    )
-    with pytest.raises(ShapeMismatch):
-        block_compose(P)
 
 
 def test_max_abs_diff():

@@ -19,17 +19,15 @@ from ctprod import (
     identity_tensor,
     mat_embed,
     max_abs_diff,
-    mode3_product,
     ten_extract,
     tensor_from_transform_slices,
     to_transform,
     transform_slices,
-    upshift_matrix,
 )
 import ctprod.transform as tr
 from ctprod.transform import _cosine_table, _dct2, _map, block_diag_oracle
 
-from helpers import forced_complex, random_tensor
+from helpers import forced_complex, mode3_product, random_tensor, upshift_matrix
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -42,12 +40,6 @@ def test_dct_matrix_matches_fft_oracle(n):
 def test_dct_matrix_orthonormal(n):
     C = dct_matrix(n)
     np.testing.assert_allclose(C @ C.T, np.eye(n), atol=1e-14)
-
-
-def test_upshift_matrix():
-    Z = upshift_matrix(3)
-    np.testing.assert_array_equal(Z, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    np.testing.assert_array_equal(upshift_matrix(1), [[0.0]])
 
 
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 7])
