@@ -10,9 +10,12 @@ eigenvalues.  SVD, QR and Schur are backed by LAPACK; rank decisions use a
 cutoff per matrix, max(m, n) * 2**-52 * sigma_max, unless the caller
 supplies a tolerance.  A stack with an inf or a NaN entry (an overflow)
 has no rank to read: the SVD, the Schur form, the rank, the
-pseudo-inverse and the index refuse it with NonFiniteSlice.  The rank and
-the pseudo-inverse redo a finite matrix whose sigma_max overflows scaled
-by a power of two, which is exact.
+pseudo-inverse, the inverse and the index refuse it with NonFiniteSlice.
+The rank, pseudo-inverse, inverse and index kernels first scale each
+matrix by 2**-e, 2**e just above its largest real or imaginary part, and
+scale tol alike: this is exact, and it keeps sigma_max, the LU factors and
+the norms of every finite matrix finite.  The SVD, QR and Schur forms are
+those of the matrix as given.
 
 ``inverse_matrix`` is the one test of whether a square matrix has an
 inverse: every square inversion here and in :mod:`ctprod.geninv` goes
@@ -210,36 +213,37 @@ class MatrixCoreNilpotent:
         return self.F[self.r :, self.r :]
 
 
+def _svd(A: np.ndarray, **kwargs):
+    """The SVD of a stack; raises NonConvergence on LAPACK failure."""
+    try:
+        return np.linalg.svd(A, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(str(exc)) from exc
+
+
 def svd_matrix(A) -> MatrixSvd:
     """Full singular value decomposition; raises NonConvergence on LAPACK failure."""
     A = _as_stack(A)
     _require_finite(A)
-    try:
-        U, s, Vh = np.linalg.svd(A, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
+    U, s, Vh = _svd(A, full_matrices=True)
     return MatrixSvd(U=U, s=s, V=_adj(Vh))
-
-
-def _singular_values(A: np.ndarray) -> np.ndarray:
-    if A.size == 0:
-        return np.zeros(A.shape[:-2] + (0,))
-    try:
-        return np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
 
 
 def default_rank_tol(shape: tuple[int, int], smax: float | np.ndarray) -> float | np.ndarray:
     return max(shape) * EPS * smax
 
 
-def _scaled_down(A: np.ndarray, tol: float | None):
+def _scaled(A: np.ndarray, tol: float | None):
     """Each matrix of a stack times 2**-e, 2**e just above its largest real or
-    imaginary part, so that its singular values are finite; also the factors
-    2**-e, and tol times them (None stays None)."""
-    big = np.maximum(np.abs(A.real), np.abs(A.imag)).max(axis=(-2, -1))
-    scale = np.ldexp(1.0, -np.frexp(big)[1])[:, None, None]
+    imaginary part, so that its singular values, its LU factors and its norm
+    are finite; also the factors 2**-e, shaped (..., 1, 1), and tol times
+    them, shaped (..., 1) (None stays None).  Raises NonFiniteSlice on an
+    inf or a NaN entry."""
+    big = np.maximum(np.abs(A.real), np.abs(A.imag)).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(big).all():
+        raise NonFiniteSlice()
+    # 2**1022 at most, so that the factor of a subnormal matrix is finite.
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(big)[1], -1022))[..., None, None]
     return A * scale, scale, None if tol is None else tol * scale[..., 0]
 
 
@@ -249,39 +253,17 @@ def numerical_rank(A, tol: float | None = None) -> int | np.ndarray:
     The default cutoff is max(m, n) * 2**-52 * sigma_max.
     """
     A = _as_stack(A)
-    _require_finite(A)
-    s = _singular_values(A)
-    ranks = _ranks(s, A.shape[-2:], tol)
-    over = np.isinf(s[..., :1]).any(axis=-1)
-    if over.any():
-        B, _, t = _scaled_down(A[over], tol)
-        ranks[over] = _ranks(_singular_values(B), A.shape[-2:], t)
-    return _per_matrix(A, ranks)
+    B, _, t = _scaled(A, tol)
+    return _per_matrix(A, _ranks(_svd(B, compute_uv=False), A.shape[-2:], t))
 
 
 def pinv_matrix(A, tol: float | None = None) -> np.ndarray:
     """Moore-Penrose inverse via the SVD with reciprocals above the rank
-    cutoff; pinv(A) = 2**-e pinv(2**-e A) where sigma_max overflows."""
+    cutoff, as pinv(A) = 2**-e pinv(2**-e A)."""
     A = _as_stack(A)
-    _require_finite(A)
-    m, n = A.shape[-2:]
-    if A.size == 0:
-        return np.zeros(A.shape[:-2] + (n, m), dtype=A.dtype)
-    X, s = _pinv_svd(A, tol)
-    over = np.isinf(s[..., :1]).any(axis=-1)
-    if over.any():
-        B, scale, t = _scaled_down(A[over], tol)
-        X[over] = _pinv_svd(B, t)[0] * scale
-    return X
-
-
-def _pinv_svd(A: np.ndarray, tol: float | np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The Moore-Penrose inverses of a nonempty stack, and its singular values."""
-    try:
-        U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
-    return _pinv_from_svd(U, s, _adj(Vh), A.shape[-2:], tol), s
+    B, scale, t = _scaled(A, tol)
+    U, s, Vh = _svd(B, full_matrices=False)
+    return _pinv_from_svd(U, s, _adj(Vh), A.shape[-2:], t) * scale
 
 
 def _pinv_from_svd(U: np.ndarray, s: np.ndarray, V: np.ndarray, shape: tuple[int, int], tol: float | None) -> np.ndarray:
@@ -293,11 +275,6 @@ def _pinv_from_svd(U: np.ndarray, s: np.ndarray, V: np.ndarray, shape: tuple[int
     return (V * inv[..., None, :]) @ _adj(U)
 
 
-# Below this Frobenius norm the squares summed for the norm may underflow;
-# such a matrix is left to the SVD rather than certified.
-_TINY_NORM = 2.0**-500
-
-
 def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """LU inverses X of a square stack, and per matrix whether X certifies
     full rank.
@@ -305,29 +282,31 @@ def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np
     1/||X||_F is a lower bound on sigma_min, and max(tol, max(m, n) * 2**-52
     * ||A||_F) is at least the SVD rank cutoff, so a matrix is certified when
     1/||X||_F exceeds 1e3 times the latter: the SVD would also call it full
-    rank, with a margin that covers the rounding of X.  When LU finds an
-    exactly zero pivot, ``np.linalg.inv`` raises for the whole stack; then
-    X holds NaN in those matrices, which are uncertified, and the
-    ``np.linalg.inv`` bits elsewhere.
+    rank, with a margin that covers the rounding of X.  LU and both norms
+    run on the matrices scaled by :func:`_scaled`.  When LU finds an exactly
+    zero pivot, ``np.linalg.inv`` raises for the whole stack; then X holds
+    NaN in those matrices, which are uncertified, and the ``np.linalg.inv``
+    bits elsewhere.
     """
+    B, scale, t = _scaled(A, tol)
     try:
-        X = np.linalg.inv(A)
+        X = np.linalg.inv(B)
     except np.linalg.LinAlgError:
-        X = np.full_like(A, np.nan)
-        lu_ok = np.linalg.slogdet(A)[0] != 0
-        X[lu_ok] = np.linalg.inv(A[lu_ok])
+        X = np.full_like(B, np.nan)
+        lu_ok = np.linalg.slogdet(B)[0] != 0
+        X[lu_ok] = np.linalg.inv(B[lu_ok])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a_norm = np.linalg.norm(A, axis=(-2, -1))
-        cut = 1e3 * np.maximum(0.0 if tol is None else tol, A.shape[-1] * EPS * a_norm)
-        ok = (1 / np.linalg.norm(X, axis=(-2, -1)) > cut) & ((a_norm >= _TINY_NORM) | (A.shape[-1] == 0))
-    return X, ok
+        cut = 1e3 * np.maximum(0.0 if t is None else t[..., 0], A.shape[-1] * EPS * np.linalg.norm(B, axis=(-2, -1)))
+        ok = 1 / np.linalg.norm(X, axis=(-2, -1)) > cut
+        return X * scale, ok
 
 
 def inverse_matrix(A, tol: float | None = None) -> np.ndarray:
     """Inverse of every square matrix of a stack, ``np.linalg.inv``'s; raises
     SingularSlice with the flat index of the first matrix that has none.  A
-    matrix the LU certificate leaves open has none when its SVD rank is short
-    of full or its LU inverse is not finite (a zero pivot or an overflow)."""
+    matrix the LU certificate leaves open has none when its rank is short of
+    full or its LU inverse is not finite (a zero pivot or an overflow); a
+    certified matrix keeps its inverse, inf where that overflows."""
     A = _as_stack(A)
     _require_square(A)
     X, ok = _certified_inverse(A, tol)
@@ -335,11 +314,7 @@ def inverse_matrix(A, tol: float | None = None) -> np.ndarray:
     open_ = np.flatnonzero(~ok)
     if open_.size:
         finite = np.isfinite(X.reshape(-1, n, n)[open_]).all(axis=(-2, -1))
-        M = A.reshape(-1, n, n)[open_]
-        _require_finite(M)
-        # No rescale here: where sigma_max overflows, LU's inverse can be finite
-        # and wrong, so the default cutoff's inf leaves such a matrix singular.
-        singular = open_[(_ranks(_singular_values(M), (n, n), tol) < n) | ~finite]
+        singular = open_[(numerical_rank(A.reshape(-1, n, n)[open_], tol) < n) | ~finite]
         if singular.size:
             raise SingularSlice(int(singular[0]))
     return X
@@ -446,25 +421,27 @@ def hs_matrix(A, tol: float | None = None) -> MatrixHs:
 def index_matrix(A, tol: float | None = None) -> int | np.ndarray:
     """Smallest k <= n with rank(A^k) = rank(A^(k+1)), taking A^0 = I, per matrix.
 
-    A must be finite.  Its powers are not checked: one that overflows
-    still has a rank read from its inf or NaN entries.
+    The ranks are those of the powers of 2**-e A (see :func:`_scaled`),
+    with tol times 2**-je at the j-th power.
     """
     A = _as_stack(A)
     _require_square(A)
-    _require_finite(A)
+    S, scale, t = _scaled(A, tol)
     n = A.shape[-1]
     r_prev = np.full(A.shape[:-2], n)
     k = np.full(A.shape[:-2], n)
     open_ = np.ones(A.shape[:-2], dtype=bool)
-    B = A  # A^(j+1) at step j
+    B = S  # S^(j+1) at step j, with t scaled alike
     for j in range(n + 1):
-        r = _ranks(_singular_values(B), (n, n), tol)
+        r = _ranks(_svd(B, compute_uv=False), (n, n), t)
         k = np.where(open_ & (r == r_prev), j, k)
         open_ &= r != r_prev
         if not open_.any():
             break
         r_prev = r
-        B = B @ A
+        B = B @ S
+        with np.errstate(over="ignore"):  # where t overflows, tol is above every sigma of A^(j+1)
+            t = None if t is None else t * scale[..., 0]
     return _per_matrix(A, k)
 
 

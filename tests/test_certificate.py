@@ -104,8 +104,10 @@ def test_mixed_stacks_equal_their_per_matrix_results(tol, complex_):
     assert not whole  # the zero and the integer-singular matrix stop LU
     singles = [_certified_inverse(a, tol) for a in A]
     assert ok.tolist() == [bool(o) for _, o in singles]
-    assert not ok[[1, 2, 3, 5, 6, 7]].any()  # singular, overflowing or below the norm floor
-    assert ok[[0, 4]].all()
+    # Scaled by a power of two, the tiny and huge matrices have finite norms:
+    # all three are certified at the default cutoff, the huge one at tol too.
+    certified = [0, 2, 4, 6, 7] if tol is None else [0, 4, 6]
+    assert np.flatnonzero(ok).tolist() == certified
     for i in np.flatnonzero(ok):
         assert np.array_equal(X[i], singles[i][0])
     assert np.array_equal(_mp_slicewise(A, tol), np.stack([_mp_slicewise(a[None], tol)[0] for a in A]))

@@ -270,6 +270,22 @@ def test_index_refuses_an_overflowed_transform(tmp_path, capsys, n3):
             assert err.startswith("error: ") and "non-finite" in err
 
 
+def test_index_of_a_slice_whose_powers_overflow(tmp_path, capsys):
+    # The 3 x 3 x 1 shift with entries 1e200: its square overflows, but the
+    # index is read from the powers of the slice scaled by a power of two.
+    path = write(tmp_path, "a.ct", Tensor3(1e200 * np.eye(3, k=1)[None]))
+    assert run(capsys, "index", path) == (0, "3\n", "")
+
+
+def test_a_lapack_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    path = write(tmp_path, "a.ct", random_tensor(np.random.default_rng(5), 2, 2, 4))
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert run(capsys, "index", path) == (1, "", "error: SVD did not converge\n")
+
+
 def test_pinv_of_a_slice_whose_sigma_max_overflows(tmp_path, capsys):
     # A 2 x 2 x 1 tensor of 1.7e308: the slice is finite, but LAPACK returns
     # sigma_max = inf for it.  pinv rescales it and writes its pseudoinverse,

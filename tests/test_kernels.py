@@ -1,12 +1,15 @@
 """Matrix-level factorization and inverse kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctprod.errors import NonFiniteSlice, RankMismatch, ShapeMismatch, SingularSlice
+from ctprod.errors import NonConvergence, NonFiniteSlice, RankMismatch, ShapeMismatch, SingularSlice
 from ctprod.kernels import (
+    EPS,
     core_nilpotent_matrix,
     default_rank_tol,
     drazin_matrix,
@@ -108,16 +111,39 @@ def test_rank_and_pinv_of_a_matrix_whose_sigma_max_overflows(c):
     assert numerical_rank(b, 1e300) == 2 and numerical_rank(b, 2e300) == 1
     np.testing.assert_allclose(pinv_matrix(b, 1e300), np.linalg.inv(b / 2.0**600) / 2.0**600, rtol=1e-13)
     np.testing.assert_allclose(pinv_matrix(b, 2e300), [[0.5 * inv_c, 0], [0.5 * inv_c, 0]], rtol=1e-13)
-    # Invertible, but LU's second pivot 2c overflows and leaves a finite, wrong
-    # inverse: inverse_matrix refuses it rather than return that.
-    with pytest.raises(SingularSlice):
-        inverse_matrix(np.array([[c, c], [-c, c]]))
+    # Invertible; unscaled, LU's second pivot 2c would overflow.
+    want = inv_c * np.array([[0.5, -0.5], [0.5, 0.5]])
+    np.testing.assert_allclose(inverse_matrix(np.array([[c, c], [-c, c]])), want, rtol=1e-13)
+
+
+def test_inverse_of_a_matrix_whose_lu_overflows():
+    # sigma_max = 1.41e308 is finite, but LU's second pivot 2e308 is not:
+    # unscaled, LU returned the finite, wrong [[1e-308, 0], [0, 0]].
+    x = inverse_matrix(np.array([[1e308, 1e308], [-1e308, 1e308]]))
+    np.testing.assert_allclose(x, [[5e-309, -5e-309], [5e-309, 5e-309]], rtol=1e-13)
+    # Certified full rank, with an inverse that overflows: it is returned with
+    # its inf entry (unscaled, LU gave NaN for all but that entry).
+    x = inverse_matrix(1e-300 * np.diag([1.0, 1e-10]))
+    np.testing.assert_allclose(x, [[1e300, 0.0], [0.0, np.inf]], rtol=1e-15)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-8])
+def test_index_of_a_shift_whose_powers_overflow(tol):
+    # The 3 x 3 shift times 1e200 has index 3; unscaled, its square overflows.
+    # Times 1e-200 its powers fall below tol = 1e-8, and scaled tol overflows.
+    a = 1e200 * np.eye(3, k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert index_matrix(a, tol) == 3
+        tiny = 3 if tol is None else 1
+        assert index_matrix(np.stack([a, 1e-200 * np.eye(3, k=1), np.eye(3)]), tol).tolist() == [3, tiny, 0]
 
 
 @pytest.mark.parametrize("c", BIG)
 def test_the_overflow_rescale_leaves_the_other_matrices_alone(c):
-    # One matrix of a stack overflows; the others keep the bits they have
-    # in a stack without it, where no rescale runs.
+    # One matrix of a stack has sigma_max = inf unscaled; each matrix is
+    # scaled by its own factor, so the others keep the bits they have in a
+    # stack without it.
     rng = np.random.default_rng(4)
     rest = np.stack([random_matrix(rng, 2, 2), rank_deficient(rng, 2, 2, 1), np.zeros((2, 2))])
     stack = np.insert(rest, 1, np.full((2, 2), c), axis=0)
@@ -127,6 +153,56 @@ def test_the_overflow_rescale_leaves_the_other_matrices_alone(c):
         assert np.isfinite(x[1]).all() and np.all(x[1] != 0)
         np.testing.assert_array_equal(np.delete(ranks, 1), numerical_rank(rest, tol))
         np.testing.assert_array_equal(np.delete(x, 1, axis=0), pinv_matrix(rest, tol))
+
+
+# Magnitudes at which LAPACK's SVD scales nothing itself (it scales a matrix
+# whose largest entry lies beyond about 1.5e138 or below 6.7e-139).
+MAGNITUDES = [1e-30, 3e-7, 1.0, 7e4, 1e30]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("tol", [None, 1e-8])
+def test_the_power_of_two_scale_changes_no_bit(tol, complex_):
+    # The rank, pseudo-inverse and index kernels scale each matrix by a power
+    # of two first; on ordinary matrices their results are those of LAPACK
+    # on the unscaled matrices, bit for bit.
+    rng = np.random.default_rng(12)
+
+    def ranks(s, shape):
+        cut = max(shape) * EPS * s[..., :1] if tol is None else tol
+        return s > cut
+
+    for shape in [(4, 4), (5, 3), (3, 5)]:
+        full, short = random_matrix(rng, *shape, complex_), rank_deficient(rng, *shape, 2, complex_)
+        A = np.stack([c * a for c in MAGNITUDES for a in (full, short, np.zeros(shape))])
+        U, s, Vh = np.linalg.svd(A, full_matrices=False)
+        keep = ranks(s, shape)
+        assert numerical_rank(A, tol).tolist() == np.count_nonzero(keep, axis=-1).tolist()
+        inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+        want = (Vh.conj().swapaxes(-1, -2) * inv[..., None, :]) @ U.conj().swapaxes(-1, -2)
+        np.testing.assert_array_equal(pinv_matrix(A, tol), want)
+
+    A = np.stack([c * with_index(rng, 4, j, complex_) for c in MAGNITUDES for j in range(-1, 4)])
+    want, r_prev, B = np.full(len(A), -1), np.full(len(A), 4), A
+    for j in range(5):
+        r = np.count_nonzero(ranks(np.linalg.svd(B, compute_uv=False), (4, 4)), axis=-1)
+        want = np.where((want < 0) & (r == r_prev), j, want)
+        r_prev, B = r, B @ A
+    assert index_matrix(A, tol).tolist() == want.tolist()
+
+
+def test_lapack_failures_raise_non_convergence(monkeypatch):
+    import scipy.linalg
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(scipy.linalg, "schur", fail)
+    a = np.stack([np.eye(3), np.diag([1.0, 2.0, 0.0])])
+    for kernel in (svd_matrix, numerical_rank, pinv_matrix, index_matrix, schur_matrix):
+        with pytest.raises(NonConvergence, match="did not converge"):
+            kernel(a)
 
 
 @pytest.mark.parametrize("tol", [None, 1e-8])
@@ -301,15 +377,16 @@ def test_core_nilpotent_split():
     np.testing.assert_allclose(np.linalg.matrix_power(f.N, f.k), 0, atol=1e-10)
 
 
-def with_index(rng, n, j):
+def with_index(rng, n, j, complex_=True):
     """P blkdiag(C, J_j) P^-1 with C invertible and J_j the j x j upshift, so
     the index is j (j = 0: invertible); j = -1 gives the zero matrix."""
+    dtype = complex if complex_ else float
     if j < 0:
-        return np.zeros((n, n), dtype=complex)
-    blk = np.zeros((n, n), dtype=complex)
-    blk[: n - j, : n - j] = np.eye(n - j) * rng.uniform(1.0, 2.0) + 0.2 * random_matrix(rng, n - j, n - j)
+        return np.zeros((n, n), dtype=dtype)
+    blk = np.zeros((n, n), dtype=dtype)
+    blk[: n - j, : n - j] = np.eye(n - j) * rng.uniform(1.0, 2.0) + 0.2 * random_matrix(rng, n - j, n - j, complex_)
     blk[np.arange(n - j, n - 1), np.arange(n - j + 1, n)] = 1.0
-    p = np.eye(n) + 0.3 * random_matrix(rng, n, n)
+    p = np.eye(n) + 0.3 * random_matrix(rng, n, n, complex_)
     return p @ blk @ np.linalg.inv(p)
 
 
