@@ -30,7 +30,10 @@ from .kernels import (
     _adj,
     _certified_inverse,
     _core_nilpotent,
+    _drazin_power,
     _pinv_from_svd,
+    _power_tol,
+    _scaled,
     full_rank_matrix,
     hs_matrix,
     index_matrix,
@@ -251,13 +254,9 @@ def tensor_index(A: Tensor3, ctx: TransformContext, tol: float | None = None) ->
 # each slice (read by the core-nilpotent route alone), and the cutoff.
 
 
-def _drazin_via_power(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
-    akh = np.linalg.matrix_power(ah, k)
-    return akh @ pinv_matrix(np.linalg.matrix_power(ah, 2 * k + 1), tol) @ akh
-
-
 def _drazin_via_qdr(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
-    f = qdr_matrix(np.linalg.matrix_power(ah, max(k, 1)), tol)
+    s, scale, _ = _scaled(ah, None)  # Q and R of (2**-e A)^k are those of A^k
+    f = qdr_matrix(np.linalg.matrix_power(s, max(k, 1)), _power_tol(tol, scale, max(k, 1)))
     return _outer_inverse(ah, f.Q, f.R, tol)
 
 
@@ -272,12 +271,12 @@ def _drazin_via_hs(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
     srk = f.Sr @ f.K
     # The tensor Drazin inverse of Sr *c K, at the tensor index: a per-slice
     # index (drazin_matrix) reads some singular slices as index 0.
-    gd = _drazin_via_power(srk, int(index_matrix(srk, tol).max()), None, tol)
+    gd = _drazin_power(srk, int(index_matrix(srk, tol).max()), tol)
     return f.U[..., : f.r] @ np.concatenate([gd, gd @ gd @ f.Sr @ f.L], axis=-1) @ _adj(f.U)
 
 
 _DRAZIN_ROUTES = {
-    DrazinMethod.POWER: _drazin_via_power,
+    DrazinMethod.POWER: lambda ah, k, ks, tol: _drazin_power(ah, k, tol),
     DrazinMethod.QDR: _drazin_via_qdr,
     DrazinMethod.CORE_NILPOTENT: _drazin_via_core_nilpotent,
     DrazinMethod.HS: _drazin_via_hs,
@@ -310,7 +309,7 @@ def _group_slices(ah: np.ndarray, tol: float | None) -> tuple[np.ndarray, int]:
     k = int(index_matrix(ah, tol).max())
     if k > 1:
         raise IndexTooLarge(k)
-    return _drazin_via_power(ah, 1, None, tol), k
+    return _drazin_power(ah, 1, tol), k
 
 
 def group_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> GenInvResult:
@@ -335,7 +334,8 @@ def core_nilpotent_parts(
     """
     ah = transform_slices(A, ctx)
     k = int(index_matrix(ah, tol).max())
-    coreC = tensor_from_transform_slices(ah @ ah @ _drazin_via_power(ah, k, None, tol), ctx)
+    s, scale, _ = _scaled(ah, None)  # A^2 A^D = (2**-e A)^2 A^D / 2**-2e
+    coreC = tensor_from_transform_slices(s @ s @ _drazin_power(ah, k, tol) / scale / scale, ctx)
     return CoreNilpotentParts(coreC=coreC, nilN=A - coreC, k=k)
 
 

@@ -2,30 +2,27 @@
 
 These are the per-slice building blocks applied in the transform domain.
 Every kernel takes one matrix or a stack of shape (..., m, n) and treats
-each matrix of a stack on its own, in one numpy/scipy call per stack rather
-than one Python-level call per matrix.  A stack of real dtype is computed
-in float64 and stays float64; any other stack is complex128.  Only the
-Schur form is always complex, since a real matrix can have complex
-eigenvalues.  SVD, QR and Schur are backed by LAPACK; rank decisions use a
-cutoff per matrix, max(m, n) * 2**-52 * sigma_max, unless the caller
-supplies a tolerance.  A stack with an inf or a NaN entry (an overflow)
-has no rank to read: the SVD, the Schur form, the rank, the
-pseudo-inverse, the inverse and the index refuse it with NonFiniteSlice.
-The rank, pseudo-inverse, inverse and index kernels first scale each
-matrix by 2**-e, 2**e just above its largest real or imaginary part, and
-scale tol alike: this is exact, and it keeps sigma_max, the LU factors and
-the norms of every finite matrix finite.  The SVD, QR and Schur forms are
-those of the matrix as given.
+each matrix of a stack on its own, in one numpy/scipy call per stack.  A
+stack of real dtype stays float64 and any other is complex128; the Schur
+form, backed like SVD and QR by LAPACK, is always complex.
 
-``inverse_matrix`` is the one test of whether a square matrix has an
-inverse: every square inversion here and in :mod:`ctprod.geninv` goes
-through it, among them ``leading_block_inverse``, ``drazin_matrix`` at
-index 0 and the existence check of the inverse along a tensor.  It
-LU-inverts first, and when the inverse certifies full rank (see
-``_certified_inverse``) no SVD is taken; an uncertified matrix has an
-inverse when its SVD rank is full and its LU inverse is finite.  The
-default Moore-Penrose route of :mod:`ctprod.geninv` uses the same
-certificate and leaves the uncertified slices to ``pinv_matrix``.
+One cutoff decides every rank (``_above_cutoff``): tol, or by default
+max(m, n) * 2**-52 * sigma_max per matrix.  The SVD, the Schur form, the
+rank, the pseudo-inverse, the inverse and the index refuse a stack with an
+inf or a NaN entry (an overflow) with NonFiniteSlice.  The rank,
+pseudo-inverse, inverse and index kernels scale each matrix by 2**-e, 2**e
+just above its largest real or imaginary part, and tol alike; every power
+A^j of an index, Drazin or core-nilpotent kernel is (2**-e A)^j, cut at
+tol * 2**-je.  This is exact, and it keeps sigma_max, the LU factors, the
+norms and the powers of every finite matrix finite.  The SVD, QR and Schur
+forms are those of the matrix as given.
+
+Every square inversion here and in :mod:`ctprod.geninv` goes through
+``inverse_matrix``.  It LU-inverts first and takes no SVD where the inverse
+certifies full rank (``_certified_inverse``), as does the default
+Moore-Penrose route.  A matrix has no inverse when its SVD rank is short of
+full or LU meets an exactly zero pivot; any other, certified or not, keeps
+its LU inverse, inf where that overflows.
 """
 
 from __future__ import annotations
@@ -88,14 +85,14 @@ def _require_square(A: np.ndarray) -> None:
         raise ShapeMismatch(f"matrix of shape {A.shape[-2:]} is not square")
 
 
+def _above_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float | None) -> np.ndarray:
+    """Which singular values s (decreasing along the last axis) lie above tol, or by default default_rank_tol."""
+    return s > (default_rank_tol(shape, s[..., :1]) if tol is None else tol)
+
+
 def _ranks(s: np.ndarray, shape: tuple[int, int], tol: float | None) -> np.ndarray:
-    """Per matrix, the number of singular values (decreasing along the last
-    axis of s) above the cutoff; a zero matrix has rank 0."""
-    if s.shape[-1] == 0:
-        return np.zeros(s.shape[:-1], dtype=np.intp)
-    smax = s[..., :1]
-    cut = default_rank_tol(shape, smax) if tol is None else tol
-    return np.where(smax[..., 0] == 0.0, 0, np.count_nonzero(s > cut, axis=-1))
+    """Per matrix, the number of singular values above the cutoff."""
+    return np.count_nonzero(_above_cutoff(s, shape, tol), axis=-1)
 
 
 def common_rank(ranks) -> int:
@@ -235,16 +232,25 @@ def default_rank_tol(shape: tuple[int, int], smax: float | np.ndarray) -> float 
 
 def _scaled(A: np.ndarray, tol: float | None):
     """Each matrix of a stack times 2**-e, 2**e just above its largest real or
-    imaginary part, so that its singular values, its LU factors and its norm
+    imaginary part, so that its singular values, LU factors, norm and powers
     are finite; also the factors 2**-e, shaped (..., 1, 1), and tol times
     them, shaped (..., 1) (None stays None).  Raises NonFiniteSlice on an
     inf or a NaN entry."""
-    big = np.maximum(np.abs(A.real), np.abs(A.imag)).max(axis=(-2, -1), initial=0.0)
+    parts = A if A.dtype == np.float64 else np.ascontiguousarray(A).view(np.float64)
+    big = np.abs(parts).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(big).all():
         raise NonFiniteSlice()
     # 2**1022 at most, so that the factor of a subnormal matrix is finite.
     scale = np.ldexp(1.0, -np.maximum(np.frexp(big)[1], -1022))[..., None, None]
     return A * scale, scale, None if tol is None else tol * scale[..., 0]
+
+
+def _power_tol(tol: float | None, scale: np.ndarray, j) -> np.ndarray | None:
+    """The cutoff tol * 2**-je of (2**-e A)^j, for the factors scale = 2**-e
+    of :func:`_scaled` and one j or one per matrix (None stays None); where
+    it overflows, tol lies above every singular value of A^j."""
+    with np.errstate(over="ignore"):
+        return None if tol is None else np.ldexp(tol, (np.frexp(scale[..., 0])[1] - 1) * np.asarray(j)[..., None])
 
 
 def numerical_rank(A, tol: float | None = None) -> int | np.ndarray:
@@ -269,8 +275,7 @@ def pinv_matrix(A, tol: float | None = None) -> np.ndarray:
 def _pinv_from_svd(U: np.ndarray, s: np.ndarray, V: np.ndarray, shape: tuple[int, int], tol: float | None) -> np.ndarray:
     """V diag(1/s) U^H over the singular values above the rank cutoff of an
     m x n matrix: the Moore-Penrose inverse from its thin SVD U diag(s) V^H."""
-    cut = default_rank_tol(shape, s[..., :1]) if tol is None else tol
-    keep = s > cut
+    keep = _above_cutoff(s, shape, tol)
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (V * inv[..., None, :]) @ _adj(U)
 
@@ -279,14 +284,13 @@ def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np
     """LU inverses X of a square stack, and per matrix whether X certifies
     full rank.
 
-    1/||X||_F is a lower bound on sigma_min, and max(tol, max(m, n) * 2**-52
-    * ||A||_F) is at least the SVD rank cutoff, so a matrix is certified when
-    1/||X||_F exceeds 1e3 times the latter: the SVD would also call it full
-    rank, with a margin that covers the rounding of X.  LU and both norms
-    run on the matrices scaled by :func:`_scaled`.  When LU finds an exactly
-    zero pivot, ``np.linalg.inv`` raises for the whole stack; then X holds
-    NaN in those matrices, which are uncertified, and the ``np.linalg.inv``
-    bits elsewhere.
+    1/||X||_F is a lower bound on sigma_min, and max(tol,
+    default_rank_tol(shape, ||A||_F)) is at least the SVD rank cutoff, so a
+    matrix whose 1/||X||_F exceeds 1e3 times the latter is full rank by the
+    SVD too, with a margin that covers the rounding of X.  LU and both norms
+    run on the matrices scaled by :func:`_scaled`.  Where LU meets an exactly
+    zero pivot, ``np.linalg.inv`` raises for the whole stack; X then holds
+    NaN in those matrices, which are uncertified, and inv's bits elsewhere.
     """
     B, scale, t = _scaled(A, tol)
     try:
@@ -296,25 +300,24 @@ def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np
         lu_ok = np.linalg.slogdet(B)[0] != 0
         X[lu_ok] = np.linalg.inv(B[lu_ok])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cut = 1e3 * np.maximum(0.0 if t is None else t[..., 0], A.shape[-1] * EPS * np.linalg.norm(B, axis=(-2, -1)))
-        ok = 1 / np.linalg.norm(X, axis=(-2, -1)) > cut
+        floor = default_rank_tol(A.shape[-2:], np.linalg.norm(B, axis=(-2, -1)))
+        ok = 1 / np.linalg.norm(X, axis=(-2, -1)) > 1e3 * np.maximum(0.0 if t is None else t[..., 0], floor)
         return X * scale, ok
 
 
 def inverse_matrix(A, tol: float | None = None) -> np.ndarray:
-    """Inverse of every square matrix of a stack, ``np.linalg.inv``'s; raises
-    SingularSlice with the flat index of the first matrix that has none.  A
-    matrix the LU certificate leaves open has none when its rank is short of
-    full or its LU inverse is not finite (a zero pivot or an overflow); a
-    certified matrix keeps its inverse, inf where that overflows."""
+    """Inverse of every square matrix of a stack, ``np.linalg.inv``'s with inf
+    where it overflows; raises SingularSlice with the flat index of the first
+    matrix whose SVD rank is short of full or whose LU met an exactly zero
+    pivot (a NaN inverse), which the LU certificate rules out."""
     A = _as_stack(A)
     _require_square(A)
     X, ok = _certified_inverse(A, tol)
     n = A.shape[-1]
     open_ = np.flatnonzero(~ok)
     if open_.size:
-        finite = np.isfinite(X.reshape(-1, n, n)[open_]).all(axis=(-2, -1))
-        singular = open_[(numerical_rank(A.reshape(-1, n, n)[open_], tol) < n) | ~finite]
+        nan = np.isnan(X.reshape(-1, n, n)[open_]).any(axis=(-2, -1))
+        singular = open_[(numerical_rank(A.reshape(-1, n, n)[open_], tol) < n) | nan]
         if singular.size:
             raise SingularSlice(int(singular[0]))
     return X
@@ -431,7 +434,7 @@ def index_matrix(A, tol: float | None = None) -> int | np.ndarray:
     r_prev = np.full(A.shape[:-2], n)
     k = np.full(A.shape[:-2], n)
     open_ = np.ones(A.shape[:-2], dtype=bool)
-    B = S  # S^(j+1) at step j, with t scaled alike
+    B = S  # S^(j+1) at step j, and t its cutoff
     for j in range(n + 1):
         r = _ranks(_svd(B, compute_uv=False), (n, n), t)
         k = np.where(open_ & (r == r_prev), j, k)
@@ -439,9 +442,7 @@ def index_matrix(A, tol: float | None = None) -> int | np.ndarray:
         if not open_.any():
             break
         r_prev = r
-        B = B @ S
-        with np.errstate(over="ignore"):  # where t overflows, tol is above every sigma of A^(j+1)
-            t = None if t is None else t * scale[..., 0]
+        B, t = B @ S, _power_tol(tol, scale, j + 2)
     return _per_matrix(A, k)
 
 
@@ -459,9 +460,16 @@ def drazin_matrix(A, tol: float | None = None) -> np.ndarray:
             except SingularSlice as exc:
                 raise SingularSlice(np.flatnonzero(at)[exc.slice_index]) from None
         else:
-            B = np.linalg.matrix_power(A[at], e)
-            X[at] = B @ pinv_matrix(np.linalg.matrix_power(A[at], 2 * e + 1), tol) @ B
+            X[at] = _drazin_power(A[at], e, tol)
     return X
+
+
+def _drazin_power(A: np.ndarray, k: int, tol: float | None) -> np.ndarray:
+    """A^k (A^(2k+1))^+ A^k per square matrix at one k, formed on 2**-e A (see
+    :func:`_scaled`): the Drazin inverse where k is at least the index."""
+    S, scale, _ = _scaled(A, None)
+    Sk = np.linalg.matrix_power(S, k)
+    return Sk @ pinv_matrix(np.linalg.matrix_power(S, 2 * k + 1), _power_tol(tol, scale, 2 * k + 1)) @ Sk * scale
 
 
 def core_nilpotent_matrix(A, tol: float | None = None) -> MatrixCoreNilpotent:
@@ -479,12 +487,13 @@ def core_nilpotent_matrix(A, tol: float | None = None) -> MatrixCoreNilpotent:
 
 def _core_nilpotent(A: np.ndarray, k: np.ndarray, tol: float | None) -> MatrixCoreNilpotent:
     """:func:`core_nilpotent_matrix` of a square stack A whose per-matrix
-    indices k are already known."""
+    indices k are already known, from the SVD of (2**-e A)^k."""
+    S, scale, _ = _scaled(A, None)
     Ak = np.empty_like(A)
     for e in map(int, np.unique(k)):
-        Ak[k == e] = np.linalg.matrix_power(A[k == e], e)
+        Ak[k == e] = np.linalg.matrix_power(S[k == e], e)
     d = svd_matrix(Ak)
-    r = d.rank(tol)
+    r = d.rank(_power_tol(tol, scale, k))
     core = np.arange(A.shape[-1]) < np.asarray(r)[..., None]
     P = np.where(core[..., None, :], d.U, d.V)
     return MatrixCoreNilpotent(P=P, F=np.linalg.solve(P, A @ P), r=r, k=k)

@@ -277,6 +277,22 @@ def test_index_of_a_slice_whose_powers_overflow(tmp_path, capsys):
     assert run(capsys, "index", path) == (0, "3\n", "")
 
 
+@pytest.mark.parametrize("method", ["power", "qdr", "corenil", "hs"])
+def test_drazin_of_a_slice_whose_powers_overflow(tmp_path, capsys, method):
+    # The 1e200 shift above: every Drazin route forms its powers on the slice
+    # scaled by a power of two, and so does the core-nilpotent split.
+    a = 1e200 * np.eye(3, k=1)[None]
+    path = write(tmp_path, "a.ct", Tensor3(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "drazin", path, "--method", method)
+        assert (code, err) == (0, "# index 3\n") and not parse_tensor_file(out).slices.any()
+        prefix = str(tmp_path / "f")
+        assert run(capsys, "decomp", path, "--kind", "corenil", "-o", prefix) == (0, "", "# index 3\n")
+    assert not parse_tensor_file(Path(f"{prefix}.C.ct").read_bytes()).slices.any()
+    assert np.array_equal(parse_tensor_file(Path(f"{prefix}.N.ct").read_bytes()).slices, a)
+
+
 def test_a_lapack_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

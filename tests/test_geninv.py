@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from ctprod import (
 )
 from ctprod.cli import main
 from ctprod.geninv import _mp_via_hs, _mp_via_svd
-from ctprod.kernels import _adj, drazin_matrix, hs_matrix, inverse_matrix, pinv_matrix, svd_matrix
+from ctprod.kernels import _adj, core_nilpotent_matrix, drazin_matrix, hs_matrix, inverse_matrix, pinv_matrix, svd_matrix
 
 import golden
 from helpers import (
@@ -212,6 +213,27 @@ def test_group_inverse_rejects_index_two():
     with pytest.raises(IndexTooLarge) as info:
         group_inverse(A, ctx)
     assert info.value.index == 2
+
+
+@pytest.mark.parametrize("tol", [None, 1e-8])
+@pytest.mark.parametrize("n3", [1, 4])
+def test_drazin_of_a_shift_whose_powers_overflow(n3, tol):
+    # The 3 x 3 shift times 1e200 in the first storage slice, zeros elsewhere:
+    # every transform slice is that shift, of index 3, whose square overflows.
+    # Every route forms its powers on the slices scaled by a power of two.
+    a = np.zeros((n3, 3, 3))
+    a[0] = 1e200 * np.eye(3, k=1)
+    A, ctx = Tensor3(a), build_context(n3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ah = transform_slices(A, ctx)
+        assert np.array_equal(ah, np.broadcast_to(a[0], a.shape))
+        for method in DrazinMethod:
+            res = drazin_inverse(A, ctx, method, tol)
+            assert res.k == 3 and not res.X.slices.any(), method
+        parts = core_nilpotent_parts(A, ctx, tol)
+        assert parts.k == 3 and not parts.coreC.slices.any() and np.array_equal(parts.nilN.slices, a)
+        assert core_nilpotent_matrix(ah, tol).k.tolist() == [3] * n3
 
 
 @pytest.mark.parametrize("method", list(AlongMethod))

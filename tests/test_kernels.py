@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctprod.errors import NonConvergence, NonFiniteSlice, RankMismatch, ShapeMismatch, SingularSlice
+from ctprod.geninv import _DRAZIN_ROUTES, DrazinMethod
 from ctprod.kernels import (
     EPS,
+    _certified_inverse,
     core_nilpotent_matrix,
     default_rank_tol,
     drazin_matrix,
@@ -70,6 +72,20 @@ def test_default_rank_tol_scales_with_sigma_max():
     assert default_rank_tol((3, 5), 2.0) == 5 * 2.0**-52 * 2.0
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("tol", [None, 0.0, 1e-8])
+def test_rank_and_pinv_of_empty_stacks_and_zero_matrices(tol, dtype):
+    # A zero singular value lies above no cutoff tol >= 0, so a zero matrix
+    # has rank 0 and pseudoinverse +0, as does a matrix with no entries.
+    for shape in [(0, 3, 3), (0, 2, 0), (2, 0, 3), (2, 3, 0), (0, 2), (3, 3), (2, 4, 3)]:
+        Z = np.zeros(shape, dtype=dtype)
+        want = np.zeros(shape[:-2], dtype=np.intp)
+        for ranks in (numerical_rank(Z, tol), svd_matrix(Z).rank(tol)):
+            assert np.asarray(ranks).dtype == np.intp and np.array_equal(ranks, want)
+        x = pinv_matrix(Z, tol)
+        assert x.dtype == Z.dtype and x.tobytes() == np.zeros(shape[:-2] + shape[:-3:-1], dtype).tobytes()
+
+
 @pytest.mark.parametrize("shape,r", [((4, 4), 4), ((4, 4), 2), ((5, 3), 2), ((3, 5), 3)])
 def test_pinv_penrose_identities(shape, r):
     rng = np.random.default_rng(2)
@@ -125,6 +141,11 @@ def test_inverse_of_a_matrix_whose_lu_overflows():
     # its inf entry (unscaled, LU gave NaN for all but that entry).
     x = inverse_matrix(1e-300 * np.diag([1.0, 1e-10]))
     np.testing.assert_allclose(x, [[1e300, 0.0], [0.0, np.inf]], rtol=1e-15)
+    # The certificate leaves this one open, and its SVD rank is full: it too
+    # keeps its LU inverse with the inf entry.
+    a = 1e-300 * np.diag([1.0, 1e-14])
+    assert not _certified_inverse(a, None)[1]
+    np.testing.assert_allclose(inverse_matrix(a), [[1e300, 0.0], [0.0, np.inf]], rtol=1e-15)
 
 
 @pytest.mark.parametrize("tol", [None, 1e-8])
@@ -137,6 +158,9 @@ def test_index_of_a_shift_whose_powers_overflow(tol):
         assert index_matrix(a, tol) == 3
         tiny = 3 if tol is None else 1
         assert index_matrix(np.stack([a, 1e-200 * np.eye(3, k=1), np.eye(3)]), tol).tolist() == [3, tiny, 0]
+        # The Drazin and core-nilpotent kernels form (2**-e A)^3 too.
+        assert core_nilpotent_matrix(a, tol).k == 3
+        assert not drazin_matrix(a, tol).any()
 
 
 @pytest.mark.parametrize("c", BIG)
@@ -163,9 +187,9 @@ MAGNITUDES = [1e-30, 3e-7, 1.0, 7e4, 1e30]
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("tol", [None, 1e-8])
 def test_the_power_of_two_scale_changes_no_bit(tol, complex_):
-    # The rank, pseudo-inverse and index kernels scale each matrix by a power
-    # of two first; on ordinary matrices their results are those of LAPACK
-    # on the unscaled matrices, bit for bit.
+    # The rank, pseudo-inverse, index and Drazin kernels scale each matrix by
+    # a power of two first; on ordinary matrices their results are those of
+    # LAPACK on the unscaled matrices, bit for bit.
     rng = np.random.default_rng(12)
 
     def ranks(s, shape):
@@ -189,6 +213,35 @@ def test_the_power_of_two_scale_changes_no_bit(tol, complex_):
         want = np.where((want < 0) & (r == r_prev), j, want)
         r_prev, B = r, B @ A
     assert index_matrix(A, tol).tolist() == want.tolist()
+
+    # The power, qdr and core-nilpotent Drazin slices of index-2 stacks, one
+    # magnitude per stack, against the same formulas on the unscaled powers:
+    # equal bits, or the same SingularSlice (the absolute tol = 1e-8 reads
+    # roundoff singular values of a 7e4 stack as rank).
+    def outcome(f):
+        try:
+            return f()
+        except SingularSlice as exc:
+            return exc.slice_index
+
+    for c in MAGNITUDES:
+        A = c * np.stack([with_index(rng, 4, 2, complex_) for _ in range(3)])
+        ks = index_matrix(A, tol)
+        k = int(ks.max())
+        Ak = np.linalg.matrix_power(A, k)
+        want = Ak @ pinv_matrix(np.linalg.matrix_power(A, 2 * k + 1), tol) @ Ak
+        np.testing.assert_array_equal(_DRAZIN_ROUTES[DrazinMethod.POWER](A, k, ks, tol), want)
+        f = qdr_matrix(np.linalg.matrix_power(A, max(k, 1)), tol)
+        want = outcome(lambda: f.Q @ inverse_matrix(f.R @ A @ f.Q, tol) @ f.R)
+        np.testing.assert_array_equal(outcome(lambda: _DRAZIN_ROUTES[DrazinMethod.QDR](A, k, ks, tol)), want)
+        Aks = np.empty_like(A)
+        for e in map(int, np.unique(ks)):
+            Aks[ks == e] = np.linalg.matrix_power(A[ks == e], e)
+        d = svd_matrix(Aks)
+        r = d.rank(tol)
+        P = np.where((np.arange(4) < r[:, None])[:, None, :], d.U, d.V)
+        want = outcome(lambda: P @ leading_block_inverse(np.linalg.solve(P, A @ P), r) @ inverse_matrix(P))
+        np.testing.assert_array_equal(outcome(lambda: _DRAZIN_ROUTES[DrazinMethod.CORE_NILPOTENT](A, k, ks, tol)), want)
 
 
 def test_lapack_failures_raise_non_convergence(monkeypatch):
