@@ -17,7 +17,6 @@ import numpy as np
 
 from .kernels import (
     _adj,
-    full_rank_matrix,
     hs_matrix,
     qdr_matrix,
     qr_matrix,
@@ -160,7 +159,7 @@ def c_schur(A: Tensor3, ctx: TransformContext) -> CSchur:
 
 def c_full_rank(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> CFullRank:
     """Full-rank decomposition A = Mfac *c Nfac; requires equal slice ranks."""
-    f = full_rank_matrix(transform_slices(A, ctx), tol)
+    f = svd_matrix(transform_slices(A, ctx)).full_rank(tol)
     return CFullRank(*_tensors(ctx, f.M, f.N), r=f.r)
 
 

@@ -31,10 +31,8 @@ from .kernels import (
     _certified_inverse,
     _core_nilpotent,
     _drazin_power,
-    _pinv_from_svd,
     _power_tol,
     _scaled,
-    full_rank_matrix,
     hs_matrix,
     index_matrix,
     inverse_matrix,
@@ -173,17 +171,8 @@ def _mp_slicewise(ah: np.ndarray, tol: float | None) -> np.ndarray:
     return X
 
 
-def _pinv_of(d: MatrixSvd, tol: float | None) -> np.ndarray:
-    """Moore-Penrose inverses of the matrices factored by the full SVD d, from
-    its thin part.  Sigma is diagonal, so its pseudoinverse is the
-    reciprocals of the singular values above the cutoff."""
-    m, n = d.U.shape[-1], d.V.shape[-1]
-    k = min(m, n)
-    return _pinv_from_svd(d.U[..., :k], d.s, d.V[..., :k], (m, n), tol)
-
-
 def _mp_via_svd(ah: np.ndarray, tol: float | None) -> np.ndarray:
-    return _pinv_of(svd_matrix(ah), tol)
+    return svd_matrix(ah).pinv(tol)
 
 
 def _mp_via_qr(ah: np.ndarray, tol: float | None) -> np.ndarray:
@@ -197,7 +186,7 @@ def _mp_via_schur(ah: np.ndarray, tol: float | None) -> np.ndarray:
 
 
 def _mp_via_full_rank(ah: np.ndarray, tol: float | None) -> np.ndarray:
-    f = full_rank_matrix(ah, tol)
+    f = svd_matrix(ah).full_rank(tol)
     return _outer_inverse(ah, _adj(f.N), _adj(f.M), tol)
 
 
@@ -255,7 +244,7 @@ def tensor_index(A: Tensor3, ctx: TransformContext, tol: float | None = None) ->
 
 
 def _drazin_via_qdr(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
-    s, scale, _ = _scaled(ah, None)  # Q and R of (2**-e A)^k are those of A^k
+    s, scale = _scaled(ah)  # Q and R of (2**-e A)^k are those of A^k
     f = qdr_matrix(np.linalg.matrix_power(s, max(k, 1)), _power_tol(tol, scale, max(k, 1)))
     return _outer_inverse(ah, f.Q, f.R, tol)
 
@@ -334,7 +323,7 @@ def core_nilpotent_parts(
     """
     ah = transform_slices(A, ctx)
     k = int(index_matrix(ah, tol).max())
-    s, scale, _ = _scaled(ah, None)  # A^2 A^D = (2**-e A)^2 A^D / 2**-2e
+    s, scale = _scaled(ah)  # A^2 A^D = (2**-e A)^2 A^D / 2**-2e
     coreC = tensor_from_transform_slices(s @ s @ _drazin_power(ah, k, tol) / scale / scale, ctx)
     return CoreNilpotentParts(coreC=coreC, nilN=A - coreC, k=k)
 
@@ -346,7 +335,8 @@ def _along_existence(ah: np.ndarray, gh: np.ndarray, tol: float | None) -> tuple
     NotInvertibleAlong at the first slice whose block has no inverse (the
     inverse along G then does not exist)."""
     d = svd_matrix(gh)
-    y = _adj(d.V) @ ah @ d.U
+    with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is refused below
+        y = _adj(d.V) @ ah @ d.U
     k = min(y.shape[1:])
     try:
         return d, leading_block_inverse(y[:, :k, :k], d.rank(tol), tol)
@@ -468,7 +458,7 @@ def check_along(A: Tensor3, G: Tensor3, X: Tensor3, ctx: TransformContext) -> di
 def _along_residuals(
     ah: np.ndarray, gh: np.ndarray, d: MatrixSvd, xh: np.ndarray, ctx: TransformContext
 ) -> dict[str, float]:
-    gdag = _pinv_of(d, None)
+    gdag = d.pinv()
     with np.errstate(over="ignore", invalid="ignore"):
         return {
             "xag": _storage_max_abs(xh @ ah @ gh - gh, ctx),

@@ -9,13 +9,15 @@ form, backed like SVD and QR by LAPACK, is always complex.
 One cutoff decides every rank (``_above_cutoff``): tol, or by default
 max(m, n) * 2**-52 * sigma_max per matrix.  The SVD, the Schur form, the
 rank, the pseudo-inverse, the inverse and the index refuse a stack with an
-inf or a NaN entry (an overflow) with NonFiniteSlice.  The rank,
-pseudo-inverse, inverse and index kernels scale each matrix by 2**-e, 2**e
-just above its largest real or imaginary part, and tol alike; every power
-A^j of an index, Drazin or core-nilpotent kernel is (2**-e A)^j, cut at
-tol * 2**-je.  This is exact, and it keeps sigma_max, the LU factors, the
-norms and the powers of every finite matrix finite.  The SVD, QR and Schur
-forms are those of the matrix as given.
+inf or a NaN entry (an overflow) with NonFiniteSlice.  The SVD and the
+rank, pseudo-inverse, inverse and index kernels scale each matrix by 2**-e,
+2**e just above its largest real or imaginary part, and tol alike
+(``_power_tol``); every power A^j of an index, Drazin or core-nilpotent
+kernel is (2**-e A)^j, cut at tol * 2**-je.  This is exact, and it keeps
+sigma_max, the LU factors, the norms and the powers of every finite matrix
+finite.  The SVD is taken of 2**-e A, but ``MatrixSvd.sigma`` and the
+factors read from it are A's own; the QR and Schur forms are those of the
+matrix as given.
 
 Every square inversion here and in :mod:`ctprod.geninv` goes through
 ``inverse_matrix``.  It LU-inverts first and takes no SVD where the inverse
@@ -50,7 +52,6 @@ __all__ = [
     "qr_matrix",
     "qr_pivoted",
     "schur_matrix",
-    "full_rank_matrix",
     "qdr_matrix",
     "hs_matrix",
     "index_matrix",
@@ -75,11 +76,6 @@ def _as_stack(A) -> np.ndarray:
     return M
 
 
-def _require_finite(A: np.ndarray) -> None:
-    if not np.isfinite(A).all():
-        raise NonFiniteSlice()
-
-
 def _require_square(A: np.ndarray) -> None:
     if A.shape[-2] != A.shape[-1]:
         raise ShapeMismatch(f"matrix of shape {A.shape[-2:]} is not square")
@@ -88,11 +84,6 @@ def _require_square(A: np.ndarray) -> None:
 def _above_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float | None) -> np.ndarray:
     """Which singular values s (decreasing along the last axis) lie above tol, or by default default_rank_tol."""
     return s > (default_rank_tol(shape, s[..., :1]) if tol is None else tol)
-
-
-def _ranks(s: np.ndarray, shape: tuple[int, int], tol: float | None) -> np.ndarray:
-    """Per matrix, the number of singular values above the cutoff."""
-    return np.count_nonzero(_above_cutoff(s, shape, tol), axis=-1)
 
 
 def common_rank(ranks) -> int:
@@ -110,29 +101,48 @@ def _per_matrix(A: np.ndarray, out) -> int | np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixSvd:
-    """A = U @ diag(s) @ V^H with U (..., m, m), V (..., n, n) unitary."""
+    """A = U @ diag(s / scale) @ V^H with U, V unitary (square, or thin with
+    min(m, n) columns), s the singular values of 2**-e A and scale = 2**-e,
+    shaped (..., 1, 1) (see :func:`_scaled`).  The rank, pseudo-inverse and
+    full-rank factors cut s at tol * 2**-e; :meth:`sigma` holds A's own."""
 
     U: np.ndarray
     s: np.ndarray
     V: np.ndarray
+    scale: np.ndarray
+
+    def _s_of_a(self) -> np.ndarray:
+        """A's singular values, inf where they overflow."""
+        with np.errstate(over="ignore"):
+            return self.s / self.scale[..., 0]
 
     def sigma(self) -> np.ndarray:
-        """The rectangular m x n diagonal matrices of singular values."""
-        m, n = self.U.shape[-1], self.V.shape[-1]
+        """The rectangular m x n diagonal matrices of A's singular values."""
+        m, n = self.U.shape[-2], self.V.shape[-2]
         S = np.zeros(self.s.shape[:-1] + (m, n), dtype=self.U.dtype)
         k = np.arange(self.s.shape[-1])
-        S[..., k, k] = self.s
+        S[..., k, k] = self._s_of_a()
         return S
 
+    def _kept(self, tol: float | None) -> np.ndarray:
+        return _above_cutoff(self.s, (self.U.shape[-2], self.V.shape[-2]), _power_tol(tol, self.scale, 1))
+
     def rank(self, tol: float | None = None) -> int | np.ndarray:
-        """Numerical rank of each factored matrix, from these singular values."""
-        return _per_matrix(self.U, _ranks(self.s, (self.U.shape[-1], self.V.shape[-1]), tol))
+        """Numerical rank of each factored matrix."""
+        return _per_matrix(self.U, np.count_nonzero(self._kept(tol), axis=-1))
+
+    def pinv(self, tol: float | None = None) -> np.ndarray:
+        """Moore-Penrose inverses V diag(1/s) U^H 2**-e over the s above the cutoff."""
+        k = self.s.shape[-1]
+        keep = self._kept(tol)
+        inv = np.where(keep, 1.0 / np.where(keep, self.s, 1.0), 0.0)
+        return (self.V[..., :k] * inv[..., None, :]) @ _adj(self.U[..., :k]) * self.scale
 
     def full_rank(self, tol: float | None = None) -> MatrixFullRank:
-        """The full-rank factors M @ N of the factored matrices, from this SVD
-        (see :func:`full_rank_matrix`)."""
+        """A = M @ N with M = U_r diag(sigma_r), N = V_r^H at the rank r shared by
+        every matrix (RankMismatch otherwise); rank 0 gives zero-width factors."""
         r = common_rank(self.rank(tol))
-        return MatrixFullRank(M=self.U[..., :r] * self.s[..., None, :r], N=_adj(self.V[..., :r]), r=r)
+        return MatrixFullRank(M=self.U[..., :r] * self._s_of_a()[..., None, :r], N=_adj(self.V[..., :r]), r=r)
 
 
 @dataclass(frozen=True)
@@ -218,31 +228,34 @@ def _svd(A: np.ndarray, **kwargs):
         raise NonConvergence(str(exc)) from exc
 
 
+def _scaled_svd(A, full_matrices: bool) -> MatrixSvd:
+    """The full or thin SVD of 2**-e A (see :func:`_scaled`)."""
+    S, scale = _scaled(_as_stack(A))
+    U, s, Vh = _svd(S, full_matrices=full_matrices)
+    return MatrixSvd(U=U, s=s, V=_adj(Vh), scale=scale)
+
+
 def svd_matrix(A) -> MatrixSvd:
     """Full singular value decomposition; raises NonConvergence on LAPACK failure."""
-    A = _as_stack(A)
-    _require_finite(A)
-    U, s, Vh = _svd(A, full_matrices=True)
-    return MatrixSvd(U=U, s=s, V=_adj(Vh))
+    return _scaled_svd(A, full_matrices=True)
 
 
 def default_rank_tol(shape: tuple[int, int], smax: float | np.ndarray) -> float | np.ndarray:
     return max(shape) * EPS * smax
 
 
-def _scaled(A: np.ndarray, tol: float | None):
+def _scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each matrix of a stack times 2**-e, 2**e just above its largest real or
     imaginary part, so that its singular values, LU factors, norm and powers
-    are finite; also the factors 2**-e, shaped (..., 1, 1), and tol times
-    them, shaped (..., 1) (None stays None).  Raises NonFiniteSlice on an
-    inf or a NaN entry."""
+    are finite; also the factors 2**-e, shaped (..., 1, 1).  Raises
+    NonFiniteSlice on an inf or a NaN entry."""
     parts = A if A.dtype == np.float64 else np.ascontiguousarray(A).view(np.float64)
     big = np.abs(parts).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(big).all():
         raise NonFiniteSlice()
     # 2**1022 at most, so that the factor of a subnormal matrix is finite.
     scale = np.ldexp(1.0, -np.maximum(np.frexp(big)[1], -1022))[..., None, None]
-    return A * scale, scale, None if tol is None else tol * scale[..., 0]
+    return A * scale, scale
 
 
 def _power_tol(tol: float | None, scale: np.ndarray, j) -> np.ndarray | None:
@@ -259,25 +272,15 @@ def numerical_rank(A, tol: float | None = None) -> int | np.ndarray:
     The default cutoff is max(m, n) * 2**-52 * sigma_max.
     """
     A = _as_stack(A)
-    B, _, t = _scaled(A, tol)
-    return _per_matrix(A, _ranks(_svd(B, compute_uv=False), A.shape[-2:], t))
+    B, scale = _scaled(A)
+    keep = _above_cutoff(_svd(B, compute_uv=False), A.shape[-2:], _power_tol(tol, scale, 1))
+    return _per_matrix(A, np.count_nonzero(keep, axis=-1))
 
 
 def pinv_matrix(A, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse via the SVD with reciprocals above the rank
+    """Moore-Penrose inverse via the thin SVD with reciprocals above the rank
     cutoff, as pinv(A) = 2**-e pinv(2**-e A)."""
-    A = _as_stack(A)
-    B, scale, t = _scaled(A, tol)
-    U, s, Vh = _svd(B, full_matrices=False)
-    return _pinv_from_svd(U, s, _adj(Vh), A.shape[-2:], t) * scale
-
-
-def _pinv_from_svd(U: np.ndarray, s: np.ndarray, V: np.ndarray, shape: tuple[int, int], tol: float | None) -> np.ndarray:
-    """V diag(1/s) U^H over the singular values above the rank cutoff of an
-    m x n matrix: the Moore-Penrose inverse from its thin SVD U diag(s) V^H."""
-    keep = _above_cutoff(s, shape, tol)
-    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (V * inv[..., None, :]) @ _adj(U)
+    return _scaled_svd(A, full_matrices=False).pinv(tol)
 
 
 def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +295,8 @@ def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np
     zero pivot, ``np.linalg.inv`` raises for the whole stack; X then holds
     NaN in those matrices, which are uncertified, and inv's bits elsewhere.
     """
-    B, scale, t = _scaled(A, tol)
+    B, scale = _scaled(A)
+    t = _power_tol(tol, scale, 1)
     try:
         X = np.linalg.inv(B)
     except np.linalg.LinAlgError:
@@ -368,7 +372,8 @@ def schur_matrix(A) -> MatrixSchur:
     complex128 for a real A too."""
     A = _as_stack(A)
     _require_square(A)
-    _require_finite(A)
+    if not np.isfinite(A).all():
+        raise NonFiniteSlice()
     if A.shape[-1] == 0:
         return MatrixSchur(Q=A.astype(np.complex128), T=A.astype(np.complex128))
     import scipy.linalg  # deferred, as in qr_pivoted
@@ -378,17 +383,6 @@ def schur_matrix(A) -> MatrixSchur:
     except scipy.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
     return MatrixSchur(Q=_adj(Z), T=T)
-
-
-def full_rank_matrix(A, tol: float | None = None) -> MatrixFullRank:
-    """Full-rank factorization A = M @ N from the SVD.
-
-    M collects the leading r left singular vectors scaled by the singular
-    values, N the leading r rows of V^H, with r the rank read off the same
-    SVD.  Rank 0 yields zero-width factors; a stack whose matrices differ
-    in rank raises RankMismatch.
-    """
-    return svd_matrix(A).full_rank(tol)
 
 
 def qdr_matrix(A, tol: float | None = None) -> MatrixQdr:
@@ -429,20 +423,20 @@ def index_matrix(A, tol: float | None = None) -> int | np.ndarray:
     """
     A = _as_stack(A)
     _require_square(A)
-    S, scale, t = _scaled(A, tol)
+    S, scale = _scaled(A)
     n = A.shape[-1]
     r_prev = np.full(A.shape[:-2], n)
     k = np.full(A.shape[:-2], n)
     open_ = np.ones(A.shape[:-2], dtype=bool)
-    B = S  # S^(j+1) at step j, and t its cutoff
+    B = S  # S^(j+1) at step j
     for j in range(n + 1):
-        r = _ranks(_svd(B, compute_uv=False), (n, n), t)
+        r = np.count_nonzero(_above_cutoff(_svd(B, compute_uv=False), (n, n), _power_tol(tol, scale, j + 1)), axis=-1)
         k = np.where(open_ & (r == r_prev), j, k)
         open_ &= r != r_prev
         if not open_.any():
             break
         r_prev = r
-        B, t = B @ S, _power_tol(tol, scale, j + 2)
+        B = B @ S
     return _per_matrix(A, k)
 
 
@@ -467,7 +461,7 @@ def drazin_matrix(A, tol: float | None = None) -> np.ndarray:
 def _drazin_power(A: np.ndarray, k: int, tol: float | None) -> np.ndarray:
     """A^k (A^(2k+1))^+ A^k per square matrix at one k, formed on 2**-e A (see
     :func:`_scaled`): the Drazin inverse where k is at least the index."""
-    S, scale, _ = _scaled(A, None)
+    S, scale = _scaled(A)
     Sk = np.linalg.matrix_power(S, k)
     return Sk @ pinv_matrix(np.linalg.matrix_power(S, 2 * k + 1), _power_tol(tol, scale, 2 * k + 1)) @ Sk * scale
 
@@ -488,7 +482,7 @@ def core_nilpotent_matrix(A, tol: float | None = None) -> MatrixCoreNilpotent:
 def _core_nilpotent(A: np.ndarray, k: np.ndarray, tol: float | None) -> MatrixCoreNilpotent:
     """:func:`core_nilpotent_matrix` of a square stack A whose per-matrix
     indices k are already known, from the SVD of (2**-e A)^k."""
-    S, scale, _ = _scaled(A, None)
+    S, scale = _scaled(A)
     Ak = np.empty_like(A)
     for e in map(int, np.unique(k)):
         Ak[k == e] = np.linalg.matrix_power(S[k == e], e)

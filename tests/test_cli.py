@@ -310,6 +310,12 @@ def test_pinv_of_a_slice_whose_sigma_max_overflows(tmp_path, capsys):
     code, out, err = run(capsys, "pinv", path)
     assert code == 0 and err == ""
     np.testing.assert_allclose(parse_tensor_file(out).slices, np.full((1, 2, 2), 0.25 / 1.7e308), rtol=1e-13)
+    # The svd route reads the same scaled SVD.  The full-rank factor holds
+    # sigma_max = inf and V^H A U overflows: those routes refuse the slice.
+    assert run(capsys, "pinv", path, "--method", "svd") == (0, out, "")
+    for command in (["pinv", path, "--method", "fullrank"], ["along", path, path]):
+        code, out, err = run(capsys, *command)
+        assert code == 1 and out == "" and err.count("\n") == 1 and err.startswith("error: "), command
 
 
 def test_every_route_refuses_an_overflowed_transform(tmp_path, capsys):

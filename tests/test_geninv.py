@@ -16,6 +16,7 @@ from ctprod import (
     DrazinMethod,
     IndexTooLarge,
     MpMethod,
+    NonFiniteSlice,
     NotInvertibleAlong,
     ShapeMismatch,
     Tensor3,
@@ -123,11 +124,29 @@ def test_mp_accepts_method_strings():
     assert max_abs_diff(mp_inverse(A, ctx, "qdr").X, mp_inverse(A, ctx).X) < 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="the svd route cuts at the inf sigma_max that MatrixSvd holds (ROADMAP item 5)")
 def test_svd_route_of_a_slice_whose_sigma_max_overflows():
     # At n3 = 1 the transform is the identity; the finite slice of 1.7e308
     # has sigma_max = inf, and its pseudoinverse is ones / (4 * 1.7e308).
     X = mp_inverse(Tensor3(np.full((1, 2, 2), 1.7e308)), build_context(1), MpMethod.SVD).X
+    np.testing.assert_allclose(X.slices, np.full((1, 2, 2), 0.25 / 1.7e308), rtol=1e-13)
+
+
+def test_factor_routes_of_a_slice_whose_sigma_max_overflows():
+    # The rank read from the scaled SVD is 1, not 0, so these routes no longer
+    # return zeros: the full-rank factor M = U sigma holds sigma_max = inf, and
+    # V^H A U (the along existence check) overflows.  Each is refused.
+    A = Tensor3(np.full((1, 2, 2), 1.7e308))
+    ctx = build_context(1)
+    routes = [lambda: mp_inverse(A, ctx, MpMethod.FULL_RANK)]
+    routes += [lambda m=m: inverse_along(A, A, ctx, m) for m in (AlongMethod.SVD_OF_G, AlongMethod.FULL_RANK_OF_G)]
+    for route in routes:
+        with pytest.raises(NonFiniteSlice):
+            route()
+
+
+@pytest.mark.xfail(strict=True, reason="the hs route takes 1/inf from A's own sigma_max (ROADMAP item 5)")
+def test_hs_route_of_a_slice_whose_sigma_max_overflows():
+    X = mp_inverse(Tensor3(np.full((1, 2, 2), 1.7e308)), build_context(1), MpMethod.HS).X
     np.testing.assert_allclose(X.slices, np.full((1, 2, 2), 0.25 / 1.7e308), rtol=1e-13)
 
 

@@ -15,7 +15,6 @@ from ctprod.kernels import (
     core_nilpotent_matrix,
     default_rank_tol,
     drazin_matrix,
-    full_rank_matrix,
     hs_matrix,
     index_matrix,
     inverse_matrix,
@@ -130,6 +129,23 @@ def test_rank_and_pinv_of_a_matrix_whose_sigma_max_overflows(c):
     # Invertible; unscaled, LU's second pivot 2c would overflow.
     want = inv_c * np.array([[0.5, -0.5], [0.5, 0.5]])
     np.testing.assert_allclose(inverse_matrix(np.array([[c, c], [-c, c]])), want, rtol=1e-13)
+    # MatrixSvd reads the rank and the pseudo-inverse of the same scaled SVD,
+    # while its sigma holds A's own sigma_max, inf.
+    for x, tol in ((a, None), (b, 1e300), (b, 2e300)):
+        d = svd_matrix(x)
+        assert d.rank(tol) == numerical_rank(x, tol) and np.isinf(d.sigma()[0, 0])
+        assert d.pinv(tol).tobytes() == pinv_matrix(x, tol).tobytes()
+
+
+def test_a_tol_that_overflows_once_scaled():
+    # 1e-300 I is scaled by 2**996, and tol = 1e10 with it to inf, above
+    # every singular value: rank 0 with no overflow warning.
+    a = 1e-300 * np.eye(2)
+    assert numerical_rank(a, 1e10) == 0 and svd_matrix(a).rank(1e10) == 0
+    assert pinv_matrix(a, 1e10).tobytes() == np.zeros((2, 2)).tobytes()
+    assert index_matrix(a, 1e10) == 1
+    with pytest.raises(SingularSlice):
+        inverse_matrix(a, 1e10)
 
 
 def test_inverse_of_a_matrix_whose_lu_overflows():
@@ -347,7 +363,7 @@ def test_schur_empty():
 def test_full_rank_factorization(r):
     rng = np.random.default_rng(6)
     a = rank_deficient(rng, 5, 4, r) if r else np.zeros((5, 4), dtype=complex)
-    f = full_rank_matrix(a)
+    f = svd_matrix(a).full_rank()
     assert f.r == r
     assert f.M.shape == (5, r) and f.N.shape == (r, 4)
     np.testing.assert_allclose(f.M @ f.N, a, atol=1e-13)
@@ -477,14 +493,14 @@ def test_stacked_rank_index_and_svd_match_each_matrix(seed, m, n, kinds, tol):
 def test_stacked_factors_share_one_rank():
     rng = np.random.default_rng(11)
     equal = np.stack([rank_deficient(rng, 4, 3, 2) for _ in range(3)])
-    f = full_rank_matrix(equal)
+    f = svd_matrix(equal).full_rank()
     g = qdr_matrix(equal)
     assert f.r == g.r == 2
     np.testing.assert_allclose(f.M @ f.N, equal, atol=1e-12)
     np.testing.assert_allclose(g.Q @ g.D @ g.R, equal, atol=1e-12)
     np.testing.assert_array_equal(g.R[1], qdr_matrix(equal[1]).R)
     mixed = np.concatenate([equal, np.zeros((1, 4, 3))])
-    for kernel in (full_rank_matrix, qdr_matrix):
+    for kernel in (lambda a: svd_matrix(a).full_rank(), qdr_matrix):
         with pytest.raises(RankMismatch) as err:
             kernel(mixed)
         assert err.value.ranks == [2, 2, 2, 0]
@@ -570,7 +586,7 @@ def test_real_stacks_stay_float64():
         "inverse": inverse_matrix(a + 4 * np.eye(4)),
         "qr": qr_matrix(a),
         "qr_pivoted": qr_pivoted(a)[0],
-        "full_rank": full_rank_matrix(low),
+        "full_rank": svd_matrix(low).full_rank(),
         "qdr": qdr_matrix(low),
         "hs": hs_matrix(low),
         "drazin": drazin_matrix(low),
@@ -595,7 +611,7 @@ def test_rank_reading_kernels_refuse_non_finite_matrices(bad):
     a = np.stack([np.eye(3), np.eye(3)]).astype(complex)
     a[1, 2, 0] = bad
     kernels = [numerical_rank, svd_matrix, pinv_matrix, index_matrix, schur_matrix, inverse_matrix,
-               full_rank_matrix, qdr_matrix, hs_matrix, drazin_matrix, core_nilpotent_matrix]
+               lambda a: svd_matrix(a).full_rank(), qdr_matrix, hs_matrix, drazin_matrix, core_nilpotent_matrix]
     for kernel in kernels:
         with pytest.raises(NonFiniteSlice):
             kernel(a)
