@@ -260,12 +260,12 @@ def _drazin_via_hs(ah: np.ndarray, k: int, ks, tol: float | None) -> np.ndarray:
     srk = f.Sr @ f.K
     # The tensor Drazin inverse of Sr *c K, at the tensor index: a per-slice
     # index (drazin_matrix) reads some singular slices as index 0.
-    gd = _drazin_power(srk, int(index_matrix(srk, tol).max()), tol)
+    gd = _drazin_power(*_scaled(srk), int(index_matrix(srk, tol).max()), tol)
     return f.U[..., : f.r] @ np.concatenate([gd, gd @ gd @ f.Sr @ f.L], axis=-1) @ _adj(f.U)
 
 
 _DRAZIN_ROUTES = {
-    DrazinMethod.POWER: lambda ah, k, ks, tol: _drazin_power(ah, k, tol),
+    DrazinMethod.POWER: lambda ah, k, ks, tol: _drazin_power(*_scaled(ah), k, tol),
     DrazinMethod.QDR: _drazin_via_qdr,
     DrazinMethod.CORE_NILPOTENT: _drazin_via_core_nilpotent,
     DrazinMethod.HS: _drazin_via_hs,
@@ -298,7 +298,7 @@ def _group_slices(ah: np.ndarray, tol: float | None) -> tuple[np.ndarray, int]:
     k = int(index_matrix(ah, tol).max())
     if k > 1:
         raise IndexTooLarge(k)
-    return _drazin_power(ah, 1, tol), k
+    return _drazin_power(*_scaled(ah), 1, tol), k
 
 
 def group_inverse(A: Tensor3, ctx: TransformContext, tol: float | None = None) -> GenInvResult:
@@ -323,8 +323,8 @@ def core_nilpotent_parts(
     """
     ah = transform_slices(A, ctx)
     k = int(index_matrix(ah, tol).max())
-    s, scale = _scaled(ah)  # A^2 A^D = (2**-e A)^2 A^D / 2**-2e
-    coreC = tensor_from_transform_slices(s @ s @ _drazin_power(ah, k, tol) / scale / scale, ctx)
+    s, scale = _scaled(ah)  # A^2 A^D = (2**-e A)^2 A^D / 2**-2e, and A^D is formed on 2**-e A
+    coreC = tensor_from_transform_slices(s @ s @ _drazin_power(s, scale, k, tol) / scale / scale, ctx)
     return CoreNilpotentParts(coreC=coreC, nilN=A - coreC, k=k)
 
 

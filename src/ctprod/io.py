@@ -179,26 +179,35 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
         faces.append(face)
     if pos < len(lines):
         raise ParseError(lines[pos][0], "unexpected content after the last slice")
-    return Tensor3(faces)
+    # One stack of the file's field, float64 or complex128; the faces are
+    # let go before the tensor copies it.
+    stack = np.stack(faces)
+    faces.clear()
+    return Tensor3(stack)
 
 
 def write_tensor_file(A: Tensor3, field: str | None = None) -> bytes:
     """Serialize a tensor; bit-exact under parse_tensor_file.
 
-    The field defaults to "real" when every entry has zero imaginary part
-    and to "complex" otherwise; passing field="real" for a tensor with
-    nonzero imaginary parts is an error.
+    The field defaults to the tensor's: "real" for a real (float64) tensor,
+    "complex" otherwise.  field="complex" writes a real tensor's entries as
+    ``(re,0)``; field="real" for a complex tensor, which has a nonzero
+    imaginary part, is an error.
     """
     sl = A.slices
+    real = sl.dtype == np.float64
     if field is None:
-        field = "complex" if np.any(sl.imag != 0.0) else "real"
+        field = "real" if real else "complex"
     if field not in ("real", "complex"):
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-    if field == "real" and np.any(sl.imag != 0.0):
+    if field == "real" and not real:
         raise ValueError("cannot write a tensor with nonzero imaginary parts as field real")
     out = ["ct-tensor 1", f"dims {A.n1} {A.n2} {A.n3}", f"field {field}"]
     # One format string per slice; a complex row interleaves re and im.
-    entry, values = ("%r", sl.real) if field == "real" else ("(%r,%r)", sl.view(np.float64))
+    if field == "real":
+        entry, values = "%r", sl
+    else:
+        entry, values = "(%r,%r)", sl.astype(np.complex128, copy=False).view(np.float64)
     slice_format = "\n".join([" ".join([entry] * A.n2)] * A.n1)
     for k in range(A.n3):
         out.append(f"slice {k}")

@@ -454,14 +454,14 @@ def drazin_matrix(A, tol: float | None = None) -> np.ndarray:
             except SingularSlice as exc:
                 raise SingularSlice(np.flatnonzero(at)[exc.slice_index]) from None
         else:
-            X[at] = _drazin_power(A[at], e, tol)
+            X[at] = _drazin_power(*_scaled(A[at]), e, tol)
     return X
 
 
-def _drazin_power(A: np.ndarray, k: int, tol: float | None) -> np.ndarray:
-    """A^k (A^(2k+1))^+ A^k per square matrix at one k, formed on 2**-e A (see
-    :func:`_scaled`): the Drazin inverse where k is at least the index."""
-    S, scale = _scaled(A)
+def _drazin_power(S: np.ndarray, scale: np.ndarray, k: int, tol: float | None) -> np.ndarray:
+    """A^k (A^(2k+1))^+ A^k per square matrix at one k, formed on S = 2**-e A
+    with its factors scale = 2**-e, as :func:`_scaled` gives them: the Drazin
+    inverse where k is at least the index."""
     Sk = np.linalg.matrix_power(S, k)
     return Sk @ pinv_matrix(np.linalg.matrix_power(S, 2 * k + 1), _power_tol(tol, scale, 2 * k + 1)) @ Sk * scale
 

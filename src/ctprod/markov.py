@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidAlpha, NotStochastic, ShapeMismatch
 from .geninv import _group_slices
 from .kernels import EPS
-from .tensor import Tensor3, _require_square
+from .tensor import Tensor3, _float_array, _require_square
 from .transform import (
     TransformContext,
     _check_n3,
@@ -78,12 +78,13 @@ class ErgodicReport:
 def _entry_violations(slices: np.ndarray, domain: str) -> list[str]:
     problems: list[str] = []
     re = slices.real
-    bad_imag = np.abs(slices.imag) > _STOCH_TOL
-    if bad_imag.any():
-        i, r, c = np.argwhere(bad_imag)[0]
-        problems.append(
-            f"{domain} entry ({r},{c}) of slice {i} has imaginary part {slices[i, r, c].imag:.3g}"
-        )
+    if slices.dtype.kind == "c":
+        bad_imag = np.abs(slices.imag) > _STOCH_TOL
+        if bad_imag.any():
+            i, r, c = np.argwhere(bad_imag)[0]
+            problems.append(
+                f"{domain} entry ({r},{c}) of slice {i} has imaginary part {slices[i, r, c].imag:.3g}"
+            )
     out_of_range = (re < -_STOCH_TOL) | (re > 1.0 + _STOCH_TOL)
     if out_of_range.any():
         i, r, c = np.argwhere(out_of_range)[0]
@@ -134,7 +135,7 @@ def transition_from_transform_slices(slices, ctx: TransformContext) -> Tensor3:
     when the resulting storage entries leave [0, 1] (such a tensor would
     not be a valid transform-mode transition tensor).
     """
-    arr = np.asarray(slices, dtype=np.complex128)
+    arr = _float_array(slices)
     if arr.ndim != 3:
         raise ShapeMismatch(f"expected a stack of transform slices, got shape {arr.shape}")
     if arr.shape[1] != arr.shape[2]:
@@ -243,7 +244,7 @@ def is_regular(P: TransitionTensor | Tensor3, ctx: TransformContext, max_power: 
     limit = max_power if max_power is not None else max(Pt.n1 * Pt.n1, 1)
     powh = np.array(ph)
     for _ in range(limit):
-        if (powh.real > 1e-12).all() and (np.abs(powh.imag) < 1e-10).all():
+        if (powh.real > 1e-12).all() and (np.isrealobj(powh) or (np.abs(powh.imag) < 1e-10).all()):
             return True
         powh = powh @ ph
     return False

@@ -55,7 +55,7 @@ def identity_tensor(n: int, ctx: TransformContext) -> Tensor3:
     frontal slice is I_n and whose remaining slices are zero (the tube map
     sends (1, 0, ..., 0) to the all-ones tube exactly).
     """
-    slices = np.zeros((ctx.n3, n, n), dtype=np.complex128)
+    slices = np.zeros((ctx.n3, n, n))
     slices[0] = np.eye(n)
     return Tensor3(slices)
 
@@ -70,7 +70,7 @@ def conj_transpose(A: Tensor3, ctx: TransformContext) -> Tensor3:
     conjugate transpose of every storage slice, exact and with no transform.
     """
     _check_n3(A, ctx)
-    return Tensor3(A.slices.conj().transpose(0, 2, 1))
+    return Tensor3(_adj(A.slices))
 
 
 def is_unitary(A: Tensor3, ctx: TransformContext, tol: float = 1e-8) -> bool:

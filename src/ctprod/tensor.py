@@ -1,8 +1,9 @@
-"""Dense order-3 complex tensors: slice and tube access, arithmetic, comparison.
+"""Dense order-3 real or complex tensors: slice and tube access, arithmetic,
+comparison.
 
 Entries are stored slice-major: ``slices[k]`` is the k-th frontal slice (an
-``n1 x n2`` complex matrix), so slice extraction is a contiguous view.  All
-indices in this package are 0-based.
+``n1 x n2`` matrix), so slice extraction is a contiguous view.  All indices
+in this package are 0-based.
 """
 
 from __future__ import annotations
@@ -18,19 +19,22 @@ __all__ = [
 
 
 class Tensor3:
-    """Immutable dense order-3 tensor over complex doubles.
+    """Immutable dense order-3 tensor over real or complex doubles.
 
     Parameters
     ----------
     slices : array_like, shape (n3, n1, n2)
         Stack of frontal slices.  The data is copied and frozen; no operation
-        in this package mutates a tensor in place.
+        in this package mutates a tensor in place.  It is stored as float64
+        when every entry is real, with an imaginary part of exactly zero
+        (-0.0 included), and as complex128 otherwise.
     """
 
     __slots__ = ("_slices",)
 
     def __init__(self, slices):
-        arr = np.array(slices, dtype=np.complex128, order="C")
+        arr = _real_if_exact(np.asarray(slices))
+        arr = np.array(arr, dtype=np.complex128 if arr.dtype.kind == "c" else np.float64, order="C")
         if arr.ndim != 3:
             raise ShapeMismatch(f"expected a stack of matrices, got ndim={arr.ndim}")
         if arr.shape[0] < 1:
@@ -81,7 +85,7 @@ class Tensor3:
 
     @classmethod
     def zeros(cls, n1: int, n2: int, n3: int) -> "Tensor3":
-        return cls(np.zeros((n3, n1, n2), dtype=np.complex128))
+        return cls(np.zeros((n3, n1, n2)))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -104,12 +108,12 @@ class Tensor3:
     def __mul__(self, scalar):
         if isinstance(scalar, Tensor3):
             return NotImplemented
-        return Tensor3(self._slices * complex(scalar))
+        return Tensor3(self._slices * _scalar(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return Tensor3(self._slices / complex(scalar))
+        return Tensor3(self._slices / _scalar(scalar))
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
@@ -123,6 +127,34 @@ class Tensor3:
     def __repr__(self):
         n1, n2, n3 = self.dims
         return f"Tensor3(dims=({n1}, {n2}, {n3}))"
+
+
+def _real_if_exact(arr: np.ndarray) -> np.ndarray:
+    """A view of the real parts of a complex array whose imaginary parts are
+    all exactly zero; any other array unchanged.
+
+    This is the one place the real rule lives.  The tube map is real, so a
+    real tensor has real transform slices, and its float64 stack is half the
+    bytes in storage and half the width through every map, GEMM and LAPACK
+    call.  The rule reads the imaginary parts at most once, and looks at the
+    first one alone before that, so typical complex data is passed on
+    without a pass over it.
+    """
+    if arr.dtype.kind == "c" and not (arr.size and arr.item(0).imag) and not arr.imag.any():
+        return arr.real
+    return arr
+
+
+def _scalar(scalar) -> np.ndarray:
+    """A number operand of Tensor3 arithmetic, as a 0-d float64 array when it
+    is real, so that a real tensor stays real, and complex128 otherwise."""
+    return _real_if_exact(np.asarray(complex(scalar)))
+
+
+def _float_array(x) -> np.ndarray:
+    """x as a complex128 array when its dtype is complex, float64 otherwise;
+    no copy when it has that dtype already."""
+    return np.asarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
 
 
 def _require_square(A: Tensor3) -> None:

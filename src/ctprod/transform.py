@@ -16,7 +16,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import BlockDiagonalizationFailure, NotInMatImage, ShapeMismatch
-from .tensor import Tensor3
+from .tensor import Tensor3, _float_array
 
 __all__ = [
     "TransformContext",
@@ -389,9 +389,9 @@ def _check_n3(A: Tensor3, ctx: TransformContext) -> None:
         raise ShapeMismatch(f"tensor n3={A.n3} does not match context n3={ctx.n3}")
 
 
-# From this n3 on, the tube map (8 * n3**2 bytes) no longer fits a core's
-# cache, and ``_map`` maps two stacks of one dtype in one pass, so that M (or
-# an FFT map's float32 matrix) is read from memory once instead of twice: at
+# From this n3 on, ``_map`` maps two stacks of one dtype in one pass, so that
+# the one n3 x n3 matrix of the map (an FFT context's float32 K, or M where
+# every context is dense) is read from memory once instead of twice: at
 # n3 = 2048, two real 4 x 4 stacks took 6.9 ms through one FFT map and 9.5 ms
 # through two.  Below it, copying two stacks side
 # by side costs more than a second pass over the map: on a 2-core x86-64
@@ -404,17 +404,15 @@ def _map(ctx: TransformContext, *stacks: np.ndarray, inverse: bool = False) -> t
     """M, or M^-1 when ``inverse``, along axis 0 of each stack: one transform
     per stack, returned in order.  Every tube map of the package runs here.
 
-    A forward map first takes each stack through ``_real_if_exact``.  A
-    float64 stack gives a float64 result; anything else is taken as
-    complex128, viewed as float64 with real and imaginary parts interleaved
-    along the last axis.  A real M acts on both parts alike, so either way
-    one real map (a float64 GEMM, or the FFT map of an FFT context) does the
-    work with no complex copy of M, and real data keeps imaginary parts
-    exactly zero.  From n3 = _JOINT_MAP_MIN_N3 on, two stacks of one dtype
-    go through one map side by side.
+    A float64 stack, such as the slices of a real :class:`Tensor3`, gives a
+    float64 result; anything else is taken as complex128, viewed as float64
+    with real and imaginary parts interleaved along the last axis.  A real M
+    acts on both parts alike, so either way one real map (a float64 GEMM, or
+    the FFT map of an FFT context) does the work with no complex copy of M.
+    No map reads or copies a stack to decide its dtype.  From
+    n3 = _JOINT_MAP_MIN_N3 on, two stacks of one dtype go through one map
+    side by side.
     """
-    if not inverse:
-        stacks = tuple(map(_real_if_exact, stacks))
     if ctx.fft is not None:
         apply = ctx.fft.inverse if inverse else ctx.fft.forward
     else:
@@ -436,21 +434,6 @@ def _map(ctx: TransformContext, *stacks: np.ndarray, inverse: bool = False) -> t
     return tuple(map(one, stacks))
 
 
-def _real_if_exact(slices: np.ndarray) -> np.ndarray:
-    """A complex stack whose imaginary parts are all exactly zero, as a
-    contiguous float64 copy of its real parts; any other stack unchanged.
-
-    M is real, so such a stack has real transform slices, and the real one
-    is half the width through every GEMM and LAPACK call that follows.  This
-    is the one place the rule lives.  It reads the imaginary parts at most
-    once, and looks at the first one alone before that, so typical complex
-    data is passed on without a pass over it.
-    """
-    if slices.dtype.kind == "c" and not (slices.size and slices.item(0).imag) and not slices.imag.any():
-        return np.ascontiguousarray(slices.real)
-    return slices
-
-
 def to_transform(A: Tensor3, ctx: TransformContext) -> Tensor3:
     """Forward transform: the mode-3 product with the tube map M."""
     return Tensor3(transform_slices(A, ctx))
@@ -459,15 +442,12 @@ def to_transform(A: Tensor3, ctx: TransformContext) -> Tensor3:
 def from_transform(Ahat: Tensor3, ctx: TransformContext) -> Tensor3:
     """Inverse transform: the mode-3 product with M^-1."""
     _check_n3(Ahat, ctx)
-    return Tensor3(_map(ctx, _real_if_exact(Ahat.slices), inverse=True)[0])
+    return Tensor3(_map(ctx, Ahat.slices, inverse=True)[0])
 
 
 def transform_slices(A: Tensor3, ctx: TransformContext) -> np.ndarray:
-    """Frontal slices of the forward transform, shape (n3, n1, n2).
-
-    float64 when every entry of A is real (imaginary part exactly zero),
-    complex128 otherwise.
-    """
+    """Frontal slices of the forward transform, shape (n3, n1, n2), of A's
+    dtype: float64 for a real tensor, complex128 for a complex one."""
     _check_n3(A, ctx)
     return _map(ctx, A.slices)[0]
 
@@ -475,10 +455,10 @@ def transform_slices(A: Tensor3, ctx: TransformContext) -> np.ndarray:
 def tensor_from_transform_slices(slices, ctx: TransformContext) -> Tensor3:
     """Assemble a tensor whose forward transform has the given frontal slices.
 
-    Real slices are mapped back in float64; the tensor itself, like every
-    :class:`Tensor3`, is complex128.
+    Real slices are mapped back in float64 and give a real tensor; complex
+    ones give a complex tensor, real if its imaginary parts come back zero.
     """
-    slices = np.asarray(slices, dtype=np.complex128 if np.iscomplexobj(slices) else np.float64)
+    slices = _float_array(slices)
     if slices.ndim != 3 or slices.shape[0] != ctx.n3:
         raise ShapeMismatch(
             f"expected {ctx.n3} stacked transform slices, got shape {slices.shape}"
@@ -506,7 +486,7 @@ def mat_embed(A: Tensor3) -> np.ndarray:
     """
     n1, n2, n3 = A.dims
     sl = A.slices
-    out = np.zeros((n1 * n3, n2 * n3), dtype=np.complex128)
+    out = np.zeros((n1 * n3, n2 * n3), dtype=sl.dtype)
     for i in range(n3):
         for j in range(n3):
             blk = sl[abs(i - j)].copy()
@@ -529,12 +509,12 @@ def ten_extract(Mtx, dims: tuple[int, int, int], tol: float = 1e-8) -> Tensor3:
     above ``tol * (1 + max|Mtx|)`` raises :class:`NotInMatImage`.
     """
     n1, n2, n3 = dims
-    Mtx = np.asarray(Mtx, dtype=np.complex128)
+    Mtx = _float_array(Mtx)
     if Mtx.shape != (n1 * n3, n2 * n3):
         raise ShapeMismatch(
             f"matrix shape {Mtx.shape} does not match dims {dims} embedding"
         )
-    slices = np.empty((n3, n1, n2), dtype=np.complex128)
+    slices = np.empty((n3, n1, n2), dtype=Mtx.dtype)
     first_col = [Mtx[k * n1 : (k + 1) * n1, :n2] for k in range(n3)]
     slices[n3 - 1] = first_col[n3 - 1]
     for k in range(n3 - 2, -1, -1):

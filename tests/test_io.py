@@ -62,8 +62,14 @@ def test_complex_tensor_writes_pairs():
 
 
 def test_forced_field():
-    A = Tensor3(np.ones((1, 1, 1)))
-    assert b"field complex" in write_tensor_file(A, field="complex")
+    # The default field is the tensor's dtype; field="complex" writes a real
+    # tensor's entries as (re,0), which parse back to the same real tensor.
+    A = Tensor3(np.array([[[1.5, -2.0]]]))
+    assert write_tensor_file(A) == b"ct-tensor 1\ndims 1 2 1\nfield real\nslice 0\n1.5 -2\n"
+    data = write_tensor_file(A, field="complex")
+    assert data == b"ct-tensor 1\ndims 1 2 1\nfield complex\nslice 0\n(1.5,0) (-2,0)\n"
+    B = parse_tensor_file(data)
+    assert B == A and B.slices.dtype == np.float64
     B = Tensor3(np.array([[[1j]]]))
     with pytest.raises(ValueError):
         write_tensor_file(B, field="real")

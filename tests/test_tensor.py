@@ -22,11 +22,25 @@ def test_package_exports_are_the_union_of_the_module_exports():
 
 
 def test_construction_copies_and_casts():
+    # Real data is stored as float64 and complex data as complex128; complex
+    # data whose imaginary parts are all exactly zero, -0.0 included, is real.
     src = np.ones((2, 3, 4))
     A = Tensor3(src)
-    assert A.slices.dtype == np.complex128
+    assert A.slices.dtype == np.float64 and A.slices.flags.c_contiguous
     src[0, 0, 0] = 99.0
-    assert A.slices[0, 0, 0] == 1.0 + 0j
+    assert A.slices[0, 0, 0] == 1.0
+    assert Tensor3(np.ones((2, 3, 4), dtype=np.int64)).slices.dtype == np.float64
+    z = np.ones((2, 3, 4), dtype=np.complex128)
+    z.imag = -0.0
+    R = Tensor3(z)
+    assert R.slices.dtype == np.float64 and R.slices.flags.c_contiguous and R == A
+    z[1, 2, 3] = 1 + 1e-300j
+    C = Tensor3(z)
+    assert C.slices.dtype == np.complex128 and C.slices[1, 2, 3] == 1 + 1e-300j
+    z[0, 0, 0] = 99.0
+    assert C.slices[0, 0, 0] == 1.0
+    z[1, 2, 3] = complex(1.0, np.nan)
+    assert Tensor3(z).slices.dtype == np.complex128
 
 
 def test_slices_are_read_only():

@@ -277,28 +277,31 @@ def test_real_tensors_transform_in_float64():
     ctx = build_context(5)
     real = random_tensor(rng, 3, 4, 5)
     cplx = random_tensor(rng, 3, 4, 5, complex_=True)
-    # Imaginary parts of exactly zero, including -0.0, count as real.
-    negzero = Tensor3(real.slices.conj())
-    assert np.signbit(negzero.slices.imag).all()
-    for A in (real, negzero):
+    # Imaginary parts of exactly zero, including -0.0, make a real tensor.
+    negzero = np.array(real.slices, dtype=np.complex128).conj()
+    assert np.signbit(negzero.imag).all()
+    assert Tensor3(negzero) == real
+    for A in (real, Tensor3(negzero)):
+        assert A.slices.dtype == np.float64
         got = transform_slices(A, ctx)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         with forced_complex():
             want = transform_slices(A, ctx)
+        assert want.dtype == np.complex128
         np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-14 * np.abs(want).max())
     # Complex data stays complex, also when its first entry is real.
     late = cplx.slices.copy()
     late.flat[0] = late.flat[0].real
     for A in (cplx, Tensor3(late)):
+        assert A.slices.dtype == np.complex128
         assert transform_slices(A, ctx).dtype == np.complex128
-    # The way back accepts either; every tensor is complex128.
-    for hat in (transform_slices(real, ctx), transform_slices(cplx, ctx)):
-        B = tensor_from_transform_slices(hat, ctx)
-        assert B.slices.dtype == np.complex128
-        assert max_abs_diff(B, real if hat.dtype == np.float64 else cplx) < 1e-13
-    assert not np.any(tensor_from_transform_slices(transform_slices(real, ctx), ctx).slices.imag)
+    # The way back keeps the dtype.
+    for A in (real, cplx):
+        B = tensor_from_transform_slices(transform_slices(A, ctx), ctx)
+        assert B.slices.dtype == A.slices.dtype
+        assert max_abs_diff(B, A) < 1e-13
     for T in (to_transform(real, ctx), from_transform(real, ctx)):
-        assert T.slices.dtype == np.complex128 and not np.any(T.slices.imag)
+        assert T.slices.dtype == np.float64
 
 
 def test_transform_wrong_context():
