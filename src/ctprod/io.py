@@ -83,6 +83,26 @@ def _slice_values(toks: list[str], real: bool) -> np.ndarray:
     return np.fromiter(map(float, parts), np.float64, count=2 * len(toks)).view(np.complex128)
 
 
+# The line breaks of str.splitlines other than "\n".
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _split_lines(text: str):
+    """The lines of ``text.splitlines()``, cut one at a time when "\n" is the
+    only line break, so that a large file's lines are not all held at once
+    next to its text."""
+    if any(c in text for c in _OTHER_BREAKS):
+        yield from text.splitlines()
+        return
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
+
+
 def parse_tensor_file(data: bytes | str) -> Tensor3:
     """Parse the text tensor format.
 
@@ -97,29 +117,24 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
         # Number the lines as below; the "x" stands in for the bad byte.
         ln = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(ln, f"byte {data[exc.start]:#04x} is not valid UTF-8") from None
-    lines: list[tuple[int, str]] = []
-    total = 0
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        total = ln
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((ln, body))
-    pos = 0
+    # (line number, content) of each line with content once its comment and
+    # outer blanks are cut.
+    lines = (
+        (ln, body)
+        for ln, body in enumerate((raw.split("#", 1)[0].strip() for raw in _split_lines(text)), start=1)
+        if body
+    )
 
     def header_line(what: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(total + 1, f"unexpected end of file, expected {what}")
-        item = lines[pos]
-        pos += 1
+        item = next(lines, None)
+        if item is None:
+            raise ParseError(len(text.splitlines()) + 1, f"unexpected end of file, expected {what}")
         return item
 
     def payload_line(what: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
+        item = next(lines, None)
+        if item is None:
             raise DimsMismatch(f"file ended before {what}")
-        item = lines[pos]
-        pos += 1
         return item
 
     ln, body = header_line("the 'ct-tensor 1' header")
@@ -177,8 +192,9 @@ def parse_tensor_file(data: bytes | str) -> Tensor3:
             i, j = np.argwhere(~np.isfinite(face))[0]
             raise ParseError(row_lines[i], f"non-finite entry in column {j + 1}")
         faces.append(face)
-    if pos < len(lines):
-        raise ParseError(lines[pos][0], "unexpected content after the last slice")
+    extra = next(lines, None)
+    if extra is not None:
+        raise ParseError(extra[0], "unexpected content after the last slice")
     # One stack of the file's field, float64 or complex128; the faces are
     # let go before the tensor copies it.
     stack = np.stack(faces)
@@ -214,4 +230,9 @@ def write_tensor_file(A: Tensor3, field: str | None = None) -> bytes:
         if A.n1 * A.n2 == 0:
             continue
         out.append(_TRAILING_ZERO.sub("", slice_format % tuple(values[k].ravel().tolist())))
-    return ("\n".join(out) + "\n").encode("ascii")
+    out.append("")
+    text = "\n".join(out)
+    # The slices' strings go before the text is encoded, so that no more
+    # than two copies of the file are held at once.
+    del out
+    return text.encode("ascii")

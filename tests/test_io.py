@@ -1,11 +1,14 @@
 """Text tensor format: exact round trips and precise failure reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctprod import DimsMismatch, ParseError, Tensor3, format_float, parse_tensor_file, write_tensor_file
+from ctprod.io import _split_lines
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -269,3 +272,32 @@ def test_real_entries_accept_what_float_accepts():
     assert A.slices.real.tolist() == [[[10.0, 0.5, 1000.0]]]
     B = parse_tensor_file("ct-tensor 1\ndims 1 1 1\nfield complex\nslice 0\n(1_0,+.5)\n")
     assert B.slices.tolist() == [[[10 + 0.5j]]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "a", "a\n", "a\n\nb", "\n\na\n", "a\r\nb\r\n", "a\rb", "a\x0cb\n", "a\n\x0b\n", "x y\x85z", "a\x1c\x1d\x1eb"],
+)
+def test_split_lines_is_splitlines(text):
+    assert list(_split_lines(text)) == text.splitlines()
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_parse_and_write_hold_at_most_two_copies_of_the_file(complex_):
+    # The reader cuts the text into lines one at a time, and the writer lets
+    # its slice strings go before it encodes: neither holds the lines of the
+    # whole file next to its text.
+    arr = np.random.default_rng(3).standard_normal((64, 32, 32))
+    A = Tensor3(arr * (1 + 1j) if complex_ else arr)
+    data = write_tensor_file(A)
+    tracemalloc.start()
+    try:
+        assert parse_tensor_file(data) == A
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_tensor_file(A)
+        write_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert parse_peak < 2.2 * len(data) and write_peak < 2.2 * len(data), (parse_peak, write_peak, len(data))
