@@ -2,9 +2,12 @@
 
 These are the per-slice building blocks applied in the transform domain.
 Every kernel takes one matrix or a stack of shape (..., m, n) and treats
-each matrix of a stack on its own, in one numpy/scipy call per stack.  A
-stack of real dtype stays float64 and any other is complex128; the Schur
-form, backed like SVD and QR by LAPACK, is always complex.
+each matrix of a stack on its own, in one NumPy call per stack.  The
+pivoted QR and the Schur form loop over the stack's matrices in direct
+LAPACK calls instead.  Those come from SciPy's compiled LAPACK module alone,
+loaded on the first such call without importing scipy.linalg
+(:func:`_flapack`).  A stack of real dtype stays float64 and any other is
+complex128; the Schur form is always complex.
 
 One cutoff decides every rank (``_above_cutoff``): tol, or by default
 max(m, n) * 2**-52 * sigma_max per matrix.  The SVD, the Schur form, the
@@ -29,8 +32,12 @@ its LU inverse, inf where that overflows.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -333,15 +340,41 @@ def qr_matrix(A) -> MatrixQr:
     return MatrixQr(Q=Q, R=R)
 
 
+@functools.cache
+def _flapack():
+    """SciPy's compiled LAPACK module, scipy.linalg._flapack, loaded once.
+
+    Finding the spec of scipy.linalg imports the scipy package, and so runs
+    SciPy's own DLL set-up, but not scipy/linalg/__init__.py and the array
+    API layer it pulls in.  The module's single-phase init registers it in
+    sys.modules; that entry is dropped, so that a later ``import
+    scipy.linalg`` binds its own copy, with the same routines.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = FileFinder(where[0], (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+def _lapack(dtype, *names):
+    """The LAPACK routines ``names`` for a float64 (d) or complex128 (z) stack."""
+    prefix = "z" if dtype == np.complex128 else "d"
+    return tuple(getattr(_flapack(), prefix + name) for name in names)
+
+
 def qr_pivoted(A) -> tuple[MatrixQr, np.ndarray]:
     """Column-pivoted Householder QR: A[..., :, piv] = Q @ R, |R_jj| nonincreasing.
 
-    LAPACK's geqp3 and orgqr/ungqr run on each matrix with workspace sizes
-    queried once per stack; piv is int32.  Raises ValueError on NaN or inf
-    entries, as ``scipy.linalg.qr`` does.
+    LAPACK's geqp3 and orgqr/ungqr (see :func:`_lapack`) run on each matrix
+    with workspace sizes queried once per stack; piv is int32.  Raises
+    ValueError on NaN or inf entries, as ``scipy.linalg.qr`` does, whose Q,
+    R and piv these are bit for bit.
     """
-    from scipy.linalg import get_lapack_funcs  # deferred, so that importing ctprod does not load SciPy
-
     A = np.asarray_chkfinite(_as_stack(A))
     m, n = A.shape[-2:]
     flat = A.reshape((math.prod(A.shape[:-2]), m, n))
@@ -351,7 +384,7 @@ def qr_pivoted(A) -> tuple[MatrixQr, np.ndarray]:
     piv = np.empty(flat.shape[:-2] + (n,), dtype=np.int32)
     piv[...] = np.arange(n)
     if A.size:
-        geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"), (flat,))
+        geqp3, orgqr = _lapack(A.dtype, "geqp3", "ungqr" if A.dtype == np.complex128 else "orgqr")
         # Householder vectors and the square Q share one m x max(m, n) buffer.
         buf = np.zeros((m, max(m, n)), dtype=A.dtype)
         lw_qp = int(geqp3(flat[0], lwork=-1)[-2][0].real)
@@ -367,22 +400,35 @@ def qr_pivoted(A) -> tuple[MatrixQr, np.ndarray]:
     return MatrixQr(Q=Q.reshape(shape + (m, m)), R=R.reshape(A.shape)), piv.reshape(shape + (n,))
 
 
+def _unsorted(w) -> int:
+    """gees's eigenvalue selector; never called, as the Schur form is not reordered."""
+    return 0
+
+
 def schur_matrix(A) -> MatrixSchur:
     """Complex Schur form A = Q^H T Q (Hessenberg reduction + shifted QR),
-    complex128 for a real A too."""
+    complex128 for a real A too.
+
+    LAPACK's zgees (see :func:`_lapack`) runs on each matrix with its
+    workspace queried once per stack, unsorted; T and Q^H are those of
+    ``scipy.linalg.schur(A, output="complex")`` bit for bit.  Raises
+    NonConvergence where the QR iteration fails.
+    """
     A = _as_stack(A)
     _require_square(A)
     if not np.isfinite(A).all():
         raise NonFiniteSlice()
-    if A.shape[-1] == 0:
-        return MatrixSchur(Q=A.astype(np.complex128), T=A.astype(np.complex128))
-    import scipy.linalg  # deferred, as in qr_pivoted
-
-    try:
-        T, Z = scipy.linalg.schur(A, output="complex")
-    except scipy.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
-    return MatrixSchur(Q=_adj(Z), T=T)
+    n = A.shape[-1]
+    flat = A.astype(np.complex128, copy=False).reshape((math.prod(A.shape[:-2]), n, n))
+    T, Z = np.empty_like(flat), np.empty_like(flat)
+    if flat.size:
+        (gees,) = _lapack(np.complex128, "gees")
+        lwork = int(gees(_unsorted, flat[0], lwork=-1)[-2][0].real)
+        for i, a in enumerate(flat):
+            T[i], _, _, Z[i], _, info = gees(_unsorted, a, lwork=lwork, sort_t=0)
+            if info > 0:
+                raise NonConvergence(f"the Schur form of matrix {i} did not converge (gees info {info})")
+    return MatrixSchur(Q=_adj(Z.reshape(A.shape)), T=T.reshape(A.shape))
 
 
 def qdr_matrix(A, tol: float | None = None) -> MatrixQdr:

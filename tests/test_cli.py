@@ -508,6 +508,41 @@ def test_scipy_stays_unloaded_on_the_default_paths(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_scipy_linalg_stays_unloaded_on_the_schur_and_qdr_paths(tmp_path):
+    """The Schur and QDR paths load SciPy's compiled LAPACK module alone.  A
+    later import of scipy.linalg still works, and its schur and pivoted qr
+    agree with the kernels bit for bit in the same process."""
+    A = random_tensor(np.random.default_rng(3), 3, 3, 2)
+    script = (
+        "import sys, numpy as np, ctprod.cli\n"
+        "from ctprod.kernels import qr_pivoted, schur_matrix\n"
+        "assert ctprod.cli.main(['decomp', sys.argv[1], '--kind', 'schur', '-o', sys.argv[2]]) == 0\n"
+        "assert ctprod.cli.main(['pinv', sys.argv[1], '--method', 'qdr', '-o', sys.argv[2] + '.ct']) == 0\n"
+        "loaded = {'scipy.linalg', 'scipy.linalg._flapack'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "import scipy.linalg\n"
+        "r = np.random.default_rng(5).standard_normal((2, 2, 3, 6, 6))\n"
+        "a = r[0] + 1j * r[1]\n"
+        "for x in (a.real, a):\n"
+        "    f = schur_matrix(x)\n"
+        "    T, Z = scipy.linalg.schur(x, output='complex')\n"
+        "    assert np.array_equal(f.T, T) and np.array_equal(f.Q, Z.conj().swapaxes(-1, -2))\n"
+        "    f, piv = qr_pivoted(x)\n"
+        "    Q, R, P = scipy.linalg.qr(x, pivoting=True)\n"
+        "    assert np.array_equal(f.Q, Q) and np.array_equal(f.R, R) and np.array_equal(piv, P)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run(
+        [sys.executable, "-c", script, write(tmp_path, "a.ct", A), str(tmp_path / "x")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ct", "x.Q.ct", "x.T.ct", "x.ct"]
+
+
 def _spelled_out_parser():
     """The CLI's parser spelled out argument by argument, each subcommand's
     arguments in their declared order."""

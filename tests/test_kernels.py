@@ -1,5 +1,6 @@
 """Matrix-level factorization and inverse kernels."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctprod import kernels
 from ctprod.errors import NonConvergence, NonFiniteSlice, RankMismatch, ShapeMismatch, SingularSlice
 from ctprod.geninv import _DRAZIN_ROUTES, DrazinMethod
 from ctprod.kernels import (
@@ -261,13 +263,18 @@ def test_the_power_of_two_scale_changes_no_bit(tol, complex_):
 
 
 def test_lapack_failures_raise_non_convergence(monkeypatch):
-    import scipy.linalg
-
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
+    (gees,) = kernels._lapack(np.complex128, "gees")
+
+    def failing_gees(*args, lwork, **kwargs):
+        """gees, reporting after the workspace query that its QR iteration failed."""
+        *out, info = gees(*args, lwork=lwork, **kwargs)
+        return (*out, info if lwork == -1 else 1)
+
     monkeypatch.setattr(np.linalg, "svd", fail)
-    monkeypatch.setattr(scipy.linalg, "schur", fail)
+    monkeypatch.setattr(kernels, "_lapack", lambda dtype, *names: (failing_gees,))
     a = np.stack([np.eye(3), np.diag([1.0, 2.0, 0.0])])
     for kernel in (svd_matrix, numerical_rank, pinv_matrix, index_matrix, schur_matrix):
         with pytest.raises(NonConvergence, match="did not converge"):
@@ -333,6 +340,38 @@ def test_qr_pivoted_has_the_bits_of_scipy():
             scipy.linalg.qr(a, mode="full", pivoting=True)
         with pytest.raises(ValueError):
             qr_pivoted(a)
+
+
+def test_schur_matrix_has_the_bits_of_scipy():
+    """The direct gees calls give scipy.linalg.schur(output="complex")'s T
+    and Z = Q^H, bit for bit, on real and complex stacks, and refuse NaN and
+    inf entries with NonFiniteSlice."""
+    import scipy.linalg
+
+    def assert_scipy_bits(a, trial):
+        f = schur_matrix(a)
+        T, Z = scipy.linalg.schur(a, output="complex")
+        assert np.array_equal(f.T, T) and np.array_equal(f.Q, Z.conj().swapaxes(-1, -2)), trial
+        assert f.T.dtype == f.Q.dtype == T.dtype == np.complex128
+
+    rng = np.random.default_rng(16)
+    for trial in range(120):
+        n, b = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        batch = (b,) if trial % 4 < 2 else (2, 3)
+        a = random_matrix(rng, math.prod(batch) * n, n, complex_=bool(trial % 2)).reshape(batch + (n, n))
+        assert_scipy_bits(a * 10.0 ** rng.choice([-8.0, 0.0, 8.0]), trial)
+    for shape in [(1, 1), (3, 1, 1), (0, 0), (2, 3, 0, 0)]:
+        assert_scipy_bits(rng.standard_normal(shape), shape)
+    # scipy.linalg.schur refuses an empty batch; the kernel returns one.
+    f = schur_matrix(np.ones((0, 3, 3)))
+    assert f.T.shape == f.Q.shape == (0, 3, 3) and f.T.dtype == f.Q.dtype == np.complex128
+    for bad in (np.nan, np.inf):
+        a = np.ones((2, 3, 3), dtype=complex)
+        a[1, 2, 0] = bad
+        with pytest.raises(NonFiniteSlice):
+            schur_matrix(a)
+        with pytest.raises(NonFiniteSlice):
+            schur_matrix(a.real)
 
 
 def test_schur_unitary_similarity_and_eigenvalues():
