@@ -363,17 +363,18 @@ def _flapack():
 
 def _lapack(dtype, *names):
     """The LAPACK routines ``names`` for a float64 (d) or complex128 (z) stack."""
-    prefix = "z" if dtype == np.complex128 else "d"
-    return tuple(getattr(_flapack(), prefix + name) for name in names)
+    module, prefix = _flapack(), "z" if dtype == np.complex128 else "d"
+    return tuple(getattr(module, prefix + name) for name in names)
 
 
 def qr_pivoted(A) -> tuple[MatrixQr, np.ndarray]:
     """Column-pivoted Householder QR: A[..., :, piv] = Q @ R, |R_jj| nonincreasing.
 
-    LAPACK's geqp3 and orgqr/ungqr (see :func:`_lapack`) run on each matrix
-    with workspace sizes queried once per stack; piv is int32.  Raises
-    ValueError on NaN or inf entries, as ``scipy.linalg.qr`` does, whose Q,
-    R and piv these are bit for bit.
+    LAPACK's geqp3 and orgqr/ungqr, from SciPy's compiled LAPACK module
+    alone (:func:`_flapack`, loaded on the first pivoted-QR or Schur call),
+    run on each matrix with workspace sizes queried once per stack; piv is
+    int32.  Raises ValueError on NaN or inf entries, as ``scipy.linalg.qr``
+    does, whose Q, R and piv these are bit for bit.
     """
     A = np.asarray_chkfinite(_as_stack(A))
     m, n = A.shape[-2:]
@@ -409,8 +410,9 @@ def schur_matrix(A) -> MatrixSchur:
     """Complex Schur form A = Q^H T Q (Hessenberg reduction + shifted QR),
     complex128 for a real A too.
 
-    LAPACK's zgees (see :func:`_lapack`) runs on each matrix with its
-    workspace queried once per stack, unsorted; T and Q^H are those of
+    LAPACK's zgees, from SciPy's compiled LAPACK module alone (as in
+    :func:`qr_pivoted`), runs on each matrix with its workspace queried once
+    per stack, unsorted; T and Q^H are those of
     ``scipy.linalg.schur(A, output="complex")`` bit for bit.  Raises
     NonConvergence where the QR iteration fails.
     """
