@@ -313,7 +313,8 @@ def _certified_inverse(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, np
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         floor = default_rank_tol(A.shape[-2:], np.linalg.norm(B, axis=(-2, -1)))
         ok = 1 / np.linalg.norm(X, axis=(-2, -1)) > 1e3 * np.maximum(0.0 if t is None else t[..., 0], floor)
-        return X * scale, ok
+        X *= scale
+        return X, ok
 
 
 def inverse_matrix(A, tol: float | None = None) -> np.ndarray:

@@ -44,8 +44,8 @@ def cprod(A: Tensor3, B: Tensor3, ctx: TransformContext) -> Tensor3:
     """
     _check_product_dims(A, B)
     _check_n3(A, ctx)
-    ah, bh = _map(ctx, A.slices, B.slices)
-    return tensor_from_transform_slices(ah @ bh, ctx)
+    # The operand stacks are freed once multiplied, before the map back.
+    return tensor_from_transform_slices(np.matmul(*_map(ctx, A.slices, B.slices)), ctx)
 
 
 def identity_tensor(n: int, ctx: TransformContext) -> Tensor3:

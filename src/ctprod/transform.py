@@ -94,11 +94,17 @@ class _FFTMap:
         return y
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
+        """M_e^-1 (y - K y), through x = K y - y, the negative of what M_e^-1
+        takes.  x starts as K y, widened from the float32 product, and takes
+        x -= y: bit for bit the -y + K y of forming -y first (IEEE c - y is
+        c + (-y)), which held -y besides K y's float32 operand and product.
+        Each block of columns is copied before its FFT, so x takes the
+        result in place.  A traced map of a 1024 x 128 array peaks at 1.63
+        times its bytes, result included, against 2.35 with -y first
+        (``map_traced_peaks`` in BENCH_28.json)."""
         n = y.shape[0]
-        # x = K y - y, the negative of what M_e^-1 takes.  Each block of
-        # columns is copied before its FFT, so x takes the result in place.
-        x = np.negative(y)
-        _add_scaled_gemm(self.defect, y, x)
+        x = _add_scaled_gemm(self.defect, y)
+        x -= y
         for cols, F in _cosine_sums(x, -1 / (2 * n)):
             x[:, cols] = F[:, :n].T
             x[n % 2 :: 2, cols] -= F[:, n]
@@ -340,23 +346,29 @@ def _cosine_sums(x: np.ndarray, scale: float = 1.0):
         yield slice(c, c + step), np.fft.rfft(v, 2 * n).real
 
 
-def _add_scaled_gemm(A: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+def _add_scaled_gemm(A: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """out += A x for a float32 A with small entries and a float64 x, through
-    one float32 GEMM; out may be x itself.
+    one float32 GEMM, and out returned; out may be x itself.  With no out,
+    A x is returned as a new float64 array.
 
     Each column of x is first scaled by a power of two to a largest entry in
     [0.5, 1), and the product back after the GEMM, so that no finite column
-    overflows float32 or falls below its range as a whole.  The product is
-    widened to float64 and added a block of _FFT_BYTES of rows at a time, so
-    that no float64 temporary as large as x is made (at n3 = 1024 with 256
-    columns, 0.38 ms against 0.45 ms for one whole temporary, 2-core x86-64).
+    overflows float32 or falls below its range as a whole.  The float32
+    operand is freed once the GEMM is done.  Into out, the product is widened
+    to float64 and added a block of _FFT_BYTES of rows at a time, so that no
+    float64 temporary as large as x is made; with no out, that temporary is
+    the result.  A traced forward map of a 1024 x 128 array peaks at 2.25
+    times its bytes, result included, against 2.60 when the operand lived to
+    the end (``map_traced_peaks`` in BENCH_28.json).
     """
     _, e = np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))
-    s = np.ldexp(x, -e, out=np.empty(x.shape, np.float32), casting="same_kind")
-    p = A @ s
+    p = A @ np.ldexp(x, -e, out=np.empty(x.shape, np.float32), casting="same_kind")
+    if out is None:
+        return np.ldexp(p, e, dtype=np.float64)
     step = max(1, _FFT_BYTES // (8 * x.shape[1]))
     for r in range(0, x.shape[0], step):
         out[r : r + step] += np.ldexp(p[r : r + step], e, dtype=np.float64)
+    return out
 
 
 def _newton_step(M: np.ndarray, X: np.ndarray) -> None:
@@ -389,15 +401,22 @@ def _check_n3(A: Tensor3, ctx: TransformContext) -> None:
         raise ShapeMismatch(f"tensor n3={A.n3} does not match context n3={ctx.n3}")
 
 
-# From this n3 on, ``_map`` maps two stacks of one dtype in one pass, so that
-# the one n3 x n3 matrix of the map (an FFT context's float32 K, or M where
-# every context is dense) is read from memory once instead of twice: at
-# n3 = 2048, two real 4 x 4 stacks took 6.9 ms through one FFT map and 9.5 ms
-# through two.  Below it, copying two stacks side
-# by side costs more than a second pass over the map: on a 2-core x86-64
-# host with 2 MB of L2 per core, one GEMM was slower at n3 = 64 and 256,
-# even at 512, and faster at 1024 and 2048.
+# From this n3 on, ``_map`` maps two stacks of one dtype in one pass while
+# they fit in _JOINT_MAP_MAX_BYTES together, so that the one n3 x n3 matrix
+# of the map (an FFT context's float32 K, or M where every context is dense)
+# is read from memory once instead of twice.  Past the cap, the side-by-side
+# copy and its product cost more than that second read, and twice the
+# stacks' bytes in transients.  In ``joint_pass_ablation`` of BENCH_28.json
+# (cprod, one process, 1 BLAS thread, 2-core x86-64), real 4 x 4 stacks,
+# 256 KiB together at n3 = 1024 and 512 KiB at 2048, took 2.88 and 10.1 ms
+# joint against 3.20 and 11.6 ms apart; complex 8 x 8 ones, 2 MiB at 1024,
+# took 19.3 ms joint against 18.2 ms apart, with a traced peak of 6.25
+# against 3.25 times the result's bytes.  A plain n3 >= 2048 rule would
+# make real 4 x 4 x 1024 cprod 11% slower.  The n3 bound is older: there,
+# the same ablation read real 4 x 4 stacks 4% and 10% faster joint at
+# n3 = 256 and 512 in a dense context, where this rule maps them apart.
 _JOINT_MAP_MIN_N3 = 1024
+_JOINT_MAP_MAX_BYTES = 512 * 1024
 
 
 def _map(ctx: TransformContext, *stacks: np.ndarray, inverse: bool = False) -> tuple[np.ndarray, ...]:
@@ -410,8 +429,11 @@ def _map(ctx: TransformContext, *stacks: np.ndarray, inverse: bool = False) -> t
     acts on both parts alike, so either way one real map (a float64 GEMM, or
     the FFT map of an FFT context) does the work with no complex copy of M.
     No map reads or copies a stack to decide its dtype.  From
-    n3 = _JOINT_MAP_MIN_N3 on, two stacks of one dtype go through one map
-    side by side.
+    n3 = _JOINT_MAP_MIN_N3 on, two stacks of one dtype that fit in
+    _JOINT_MAP_MAX_BYTES together go through one map side by side, so that
+    the map's matrix is read once for both; wider ones map one at a time,
+    which is faster there and holds half the transients.  Either way each
+    result has the bits of its own map.
     """
     if ctx.fft is not None:
         apply = ctx.fft.inverse if inverse else ctx.fft.forward
@@ -426,7 +448,13 @@ def _map(ctx: TransformContext, *stacks: np.ndarray, inverse: bool = False) -> t
         flat = s.view(np.float64).reshape(s.shape[0], 2 * s[0].size)
         return apply(flat).view(np.complex128).reshape(s.shape)
 
-    if len(stacks) == 2 and ctx.n3 >= _JOINT_MAP_MIN_N3 and stacks[0].dtype == stacks[1].dtype:
+    joint = (
+        len(stacks) == 2
+        and ctx.n3 >= _JOINT_MAP_MIN_N3
+        and stacks[0].dtype == stacks[1].dtype
+        and stacks[0].nbytes + stacks[1].nbytes <= _JOINT_MAP_MAX_BYTES
+    )
+    if joint:
         a, b = stacks
         width = a[0].size
         both = one(np.concatenate([a.reshape(ctx.n3, width), b.reshape(ctx.n3, -1)], axis=1))

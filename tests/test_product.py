@@ -1,6 +1,7 @@
 """Ring and involution behavior of the C-product layer."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -54,18 +55,29 @@ class _GemmCounter(np.ndarray):
         return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
 
-@pytest.mark.parametrize("n3", [9, tr._JOINT_MAP_MIN_N3])
+@pytest.mark.parametrize(
+    "n3, dims",
+    [(9, (2, 3, 5)), (tr._JOINT_MAP_MIN_N3, (2, 3, 5)), (tr._JOINT_MAP_MIN_N3, (8, 8, 8))],
+    ids=["9", str(tr._JOINT_MAP_MIN_N3), f"{tr._JOINT_MAP_MIN_N3}-wide"],
+)
 @pytest.mark.parametrize("complex_a, complex_b", [(False, False), (True, True), (False, True), (True, False)])
-def test_operands_mapped_together_match_separate_transforms(complex_a, complex_b, n3, monkeypatch):
+def test_operands_mapped_together_match_separate_transforms(complex_a, complex_b, n3, dims, monkeypatch):
     """_map maps two stacks in one pass from n3 = _JOINT_MAP_MIN_N3 on when
-    they share a dtype, and in two otherwise; either way each stack is its
-    own forward transform.  cprod maps its operands with it, so at every n3
-    it does two forward transforms and one inverse: in a dense context, in
-    two GEMMs or three.  At n3 = 1024 the FFT context is checked too, and
-    the dense one is the one built where np.longdouble is float64."""
+    they share a dtype and fit in _JOINT_MAP_MAX_BYTES together, and in two
+    otherwise; either way each stack is its own forward transform.  cprod
+    maps its operands with it, so at every n3 it does two forward
+    transforms and one inverse: in a dense context, in two GEMMs or three.
+    8 x 8 stacks at n3 = 1024 are above the byte cap, real or complex.  At
+    n3 = 1024 the FFT context is checked too, and the dense one is the one
+    built where np.longdouble is float64."""
     rng = np.random.default_rng(3)
-    A = random_tensor(rng, 2, 3, n3, complex_a)
-    B = random_tensor(rng, 3, 5, n3, complex_b)
+    A = random_tensor(rng, dims[0], dims[1], n3, complex_a)
+    B = random_tensor(rng, dims[1], dims[2], n3, complex_b)
+    joint = (
+        n3 >= tr._JOINT_MAP_MIN_N3
+        and complex_a == complex_b
+        and A.slices.nbytes + B.slices.nbytes <= tr._JOINT_MAP_MAX_BYTES
+    )
     contexts = [build_context(n3)]
     monkeypatch.setattr(tr, "_EXTENDED", False)
     if contexts[0].fft is not None:
@@ -87,9 +99,39 @@ def test_operands_mapped_together_match_separate_transforms(complex_a, complex_b
         C = cprod(A, B, counting)
         assert (counts["fwd"], counts["inv"]) == (2, 1)
         if ctx.fft is None:
-            assert _GemmCounter.gemms == (2 if n3 >= tr._JOINT_MAP_MIN_N3 and complex_a == complex_b else 3)
+            assert _GemmCounter.gemms == (2 if joint else 3)
         got = transform_slices(C, ctx)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+# FFT contexts for the joint-map bit test, built once for its 16 cases.
+_fft_context = functools.cache(build_context)
+
+
+@pytest.mark.skipif(not tr._EXTENDED, reason="np.longdouble is float64 here, and every context is dense")
+@pytest.mark.parametrize("n3", [1024, 2048])
+@pytest.mark.parametrize(
+    "dims, complex_",
+    [((4, 4, 4), False), ((1, 2, 1), False), ((8, 8, 8), True), ((2, 3, 5), True)],
+    ids=["real-4x4", "real-1x2", "complex-8x8", "complex-2x3x5"],
+)
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_joint_map_has_the_bits_of_separate_maps(n3, dims, complex_, inverse, monkeypatch):
+    """Two stacks through one FFT map side by side get, bit for bit, what
+    each gets through its own map, on both sides of _JOINT_MAP_MAX_BYTES
+    (real 4 x 4 stacks are below it at n3 = 1024 and on it at 2048, complex
+    8 x 8 ones above it), so that the cap decides time and memory but never
+    an answer.  Every stack is at least 2 columns wide: a GEMM 1 column wide
+    takes OpenBLAS's gemv path, whose bits differ."""
+    rng = np.random.default_rng(n3)
+    a = random_tensor(rng, dims[0], dims[1], n3, complex_).slices
+    b = random_tensor(rng, dims[1], dims[2], n3, complex_).slices
+    ctx = _fft_context(n3)
+    separate = [_map(ctx, s, inverse=inverse)[0] for s in (a, b)]
+    monkeypatch.setattr(tr, "_JOINT_MAP_MAX_BYTES", np.inf)
+    for got, want in zip(_map(ctx, a, b, inverse=inverse), separate):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_cprod_reduces_to_matmul_at_single_slice():

@@ -19,6 +19,7 @@ from ctprod import (
     identity_tensor,
     mat_embed,
     max_abs_diff,
+    mp_inverse,
     ten_extract,
     tensor_from_transform_slices,
     to_transform,
@@ -179,6 +180,33 @@ def test_context_build_holds_no_third_n3_square_matrix():
     held = [a for obj in (ctx, ctx.fft) for a in vars(obj).values() if isinstance(a, np.ndarray)]
     assert [(a.shape, a.dtype) for a in held if a.ndim == 2] == [((n3, n3), np.float32)]
     assert ctx.tube_map.flags.c_contiguous and ctx.tube_map_inv.flags.c_contiguous
+
+
+@pytest.mark.skipif(not tr._EXTENDED, reason="np.longdouble is float64 here, and every context is dense")
+@pytest.mark.parametrize(
+    "op, budget", [(cprod, 4.0), (lambda A, B, ctx: mp_inverse(A, ctx).X, 4.15)], ids=["cprod", "mp_inverse"]
+)
+def test_long_tube_ops_hold_few_transients(op, budget):
+    # Traced peak of one call on complex 8 x 8 x 1024 operands, result
+    # included, in units of the result's bytes (``op_traced_peaks`` in
+    # BENCH_28.json: 3.25 and 4.03).  cprod maps the two 1 MiB operands one
+    # at a time, since they are above the joint pass's byte cap, and frees
+    # them before the map back; a side-by-side copy held to the end reads
+    # 6.6.  mp_inverse's inverse map starts from K y, and the LU inverse is
+    # scaled in place; -y formed first and a scaled copy read 4.35.
+    rng = np.random.default_rng(8)
+    A, B = (random_tensor(rng, 8, 8, 1024, complex_=True) for _ in "AB")
+    result = A.slices.nbytes
+    ctx = build_context(1024)
+    op(A, B, ctx)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        op(A, B, ctx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget * result, peak / result
 
 
 @pytest.mark.parametrize("n3", [64, 1024, 2048])
